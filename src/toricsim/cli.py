@@ -76,8 +76,6 @@ def _quench_config(args) -> "object":
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
-    if "alpha_list" in merged:
-        merged["alpha_list"] = tuple(merged["alpha_list"])
     if "L1" not in merged or "L2" not in merged:
         raise ValueError("lattice size missing: pass --l1/--l2 or put L1/L2 in the config")
     try:

@@ -2,42 +2,37 @@
 
 Hamiltonians are lists of weighted Pauli strings applied term by term, so a
 matvec costs O(terms * dimension) with only vector-sized memory. The same
-engine drives the full 2^N space and the plaquette-constrained sector, whose
-basis states are enumerated explicitly. Small dimensions get a cached dense
+engine drives any ``stabilizer.Basis``: the full 2^N space, or the
+plaquette-constrained sector from ``build_sector``, whose basis states are
+enumerated explicitly. Small dimensions get a cached dense
 eigendecomposition; larger ones are propagated with an adaptive Krylov
 approximation of exp(-iHt).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .gf2 import mask, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z, single
-from .stabilizer import FullBasis, StateVector
-from .stabilizer import save_state as save_checkpoint  # noqa: F401
-from .stabilizer import load_state as load_checkpoint  # noqa: F401
+from .stabilizer import Basis, StateVector
 
 __all__ = [
     "HamiltonianSpec",
     "HamiltonianOperator",
-    "SectorBasis",
     "build_hamiltonian",
     "build_sector",
     "full_spectrum",
     "lanczos_extremal",
     "evolve",
-    "dump_spectrum",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 FULL_SPECTRUM_CAP = 4096
 LANCZOS_SEED = 20170831
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _FIELD_MODES = ("uniform_z", "split_HV")
 
@@ -87,91 +82,33 @@ class HamiltonianSpec:
         return tuple(terms)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
-    """Computational-basis states satisfying diagonal Pauli constraints."""
-
-    n_spins: int
-    constraint_ops: tuple[PauliOperator, ...]
-    kept_indices: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return int(self.kept_indices.size)
-
-    @classmethod
-    def from_kept(cls, n_spins: int, kept) -> "SectorBasis":
-        kept = np.sort(np.asarray(kept, dtype=np.int64))
-        return cls(n_spins=n_spins, constraint_ops=(), kept_indices=kept)
-
-    def positions(self, indices: np.ndarray) -> np.ndarray:
-        """Sector positions of full-space indices (which must all belong)."""
-        pos = np.searchsorted(self.kept_indices, indices)
-        if pos.size and (
-            pos.max() >= self.kept_indices.size
-            or not np.array_equal(self.kept_indices[pos], indices)
-        ):
-            raise ValueError("index not in sector")
-        return pos
-
-    def project(self, state: StateVector, tol: float = 1e-10) -> StateVector:
-        """Restrict a full-space state that lives in the sector."""
-        if not isinstance(state.basis, FullBasis) or state.n_spins != self.n_spins:
-            raise ValueError("can only project a full-basis state of matching size")
-        amps = state.amplitudes[self.kept_indices]
-        lost = 1.0 - float(np.sum(np.abs(amps) ** 2))
-        if lost > tol:
-            raise ValueError(f"state carries weight {lost:.3e} outside the sector")
-        return StateVector(amps / np.linalg.norm(amps), self)
-
-    def expand(self, state: StateVector) -> StateVector:
-        """Embed a sector state back into the full 2^N basis."""
-        if state.basis is not self:
-            raise ValueError("state does not use this sector basis")
-        full = np.zeros(1 << self.n_spins, dtype=np.complex128)
-        full[self.kept_indices] = state.amplitudes
-        return StateVector(full, FullBasis(self.n_spins))
-
-
-def build_sector(geometry: LatticeGeometry, which: str = "all_plaquettes_plus") -> SectorBasis:
+def build_sector(geometry: LatticeGeometry, which: str = "all_plaquettes_plus") -> Basis:
     """Enumerate the subspace with every plaquette eigenvalue +1.
 
     One plaquette is the product of all others, so the dimension is
-    2^(N - (L1*L2 - 1)).
+    2^(N - (L1*L2 - 1)). The star flips and the two winding loops commute
+    with every plaquette and span that many states, so the sector is their
+    GF(2) span, enumerated without visiting the 2^N full space.
     """
     if which != "all_plaquettes_plus":
         raise ValueError(f"unknown sector {which!r}")
-    n = geometry.n_spins
-    idx = np.arange(1 << n, dtype=np.int64)
-    keep = np.ones(idx.size, dtype=bool)
-    ops = []
-    for sup in geometry.plaquette_supports:
-        op = pauli_z(n, sup)
-        ops.append(op)
-        keep &= (np.bitwise_count(idx & op.z_mask) & 1) == 0
-    return SectorBasis(
-        n_spins=n, constraint_ops=tuple(ops), kept_indices=idx[keep]
-    )
+    flips = geometry.star_supports + (geometry.loop1_support, geometry.loop2_support)
+    return Basis(geometry.n_spins, span(mask(sup) for sup in flips))
 
 
 class HamiltonianOperator:
     """Matrix-free Hermitian operator from weighted Pauli terms.
 
     Diagonal terms are folded into one vector; every off-diagonal term keeps
-    a precomputed target permutation (plus per-state signs when it carries a
-    Z part). Works on the full basis or on a SectorBasis, in which case each
-    term must map the sector to itself.
+    its precomputed target positions from ``Basis.pauli_action`` (plus
+    per-state signs when it carries a Z part). On a sector basis each term
+    must map the sector to itself.
     """
 
-    def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis):
+    def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
         self.basis = basis
         self.terms = tuple((float(c), op) for c, op in terms)
         dim = basis.dimension
-        kept = getattr(basis, "kept_indices", None)
-        if kept is None:
-            idx = np.arange(dim, dtype=np.int64)
-        else:
-            idx = np.asarray(kept, dtype=np.int64)
         diag = np.zeros(dim, dtype=np.complex128)
         offdiag = []
         for coef, op in self.terms:
@@ -181,30 +118,16 @@ class HamiltonianOperator:
                 raise ValueError(f"non-Hermitian term: {op}")
             if coef == 0.0:
                 continue
-            phase = _PHASES[op.phase_exp]
+            perm, signs, valid = basis.pauli_action(op)
+            if valid is not None:
+                raise ValueError(
+                    f"term {op} does not preserve the sector; "
+                    "it fails to commute with a basis constraint"
+                )
+            weight = coef * op.phase
             if op.x_mask == 0:
-                signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-                diag += coef * phase * signs
+                diag += weight if signs is None else weight * signs
                 continue
-            tgt = idx ^ op.x_mask
-            if kept is None:
-                perm = tgt
-            else:
-                pos = np.searchsorted(idx, tgt)
-                bad = pos >= idx.size
-                pos = np.minimum(pos, idx.size - 1)
-                if bad.any() or not np.array_equal(idx[pos], tgt):
-                    raise ValueError(
-                        f"term {op} does not preserve the sector; "
-                        "it fails to commute with a basis constraint"
-                    )
-                perm = pos
-            if op.z_mask == 0:
-                signs = None
-                weight = coef * phase
-            else:
-                signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-                weight = coef * phase
             offdiag.append((weight, perm, signs))
         imag_max = float(np.max(np.abs(diag.imag))) if dim else 0.0
         if imag_max > 1e-14:
@@ -254,12 +177,12 @@ class HamiltonianOperator:
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     """Assemble the matrix-free operator for a coupling spec.
 
-    ``basis`` defaults to the full 2^N space; pass a SectorBasis to restrict
-    (only valid when every term commutes with the sector constraints, e.g.
-    the uniform-z field).
+    ``basis`` defaults to the full 2^N space; pass the ``build_sector``
+    basis to restrict (only valid when every term commutes with the sector
+    constraints, e.g. the uniform-z field).
     """
     if basis is None:
-        basis = FullBasis(spec.geometry.n_spins)
+        basis = Basis(spec.geometry.n_spins)
     return HamiltonianOperator(spec.term_list(), basis)
 
 
@@ -399,8 +322,8 @@ def evolve(
     "auto" (spectrum when the dimension is within the dense cap).
     Unitarity is inherited, not enforced: no renormalization happens.
     """
-    if state.basis is not op.basis and state.basis.dimension != op.dimension:
-        raise ValueError("state and operator dimensions differ")
+    if state.basis != op.basis:
+        raise ValueError("state and operator use different bases")
     if method == "auto":
         method = "spectrum" if op.dimension <= FULL_SPECTRUM_CAP else "krylov"
     if method == "spectrum":
@@ -435,11 +358,3 @@ def evolve(
         if steps > 10000:
             raise RuntimeError("Krylov propagation exceeded the step limit")
     return StateVector(v, state.basis)
-
-
-def dump_spectrum(path, eigenvalues: np.ndarray) -> None:
-    """CSV spectrum dump: index, eigenvalue with 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(eigenvalues):
-            fh.write(f"{i},{lam:.17g}\n")

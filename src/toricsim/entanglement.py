@@ -13,15 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import RegionPartition
-from .stabilizer import StateVector, same_basis
+from .stabilizer import StateVector
 
 __all__ = [
     "DensityMatrix",
     "EntropyReport",
     "reduce",
     "region_spectrum",
-    "entanglement_spectrum",
-    "spectrum_rank",
     "renyi",
     "topological_entropy",
     "fidelity",
@@ -60,11 +58,11 @@ class EntropyReport:
 
 
 def _full_amplitudes(state: StateVector) -> np.ndarray:
-    kept = getattr(state.basis, "kept_indices", None)
+    kept = state.basis.kept_indices
     if kept is None:
         return state.amplitudes
     full = np.zeros(1 << state.n_spins, dtype=np.complex128)
-    full[np.asarray(kept, dtype=np.int64)] = state.amplitudes
+    full[kept] = state.amplitudes
     return full
 
 
@@ -92,6 +90,14 @@ def _split_matrix(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
     return np.ascontiguousarray(tensor).reshape(1 << len(region), 1 << len(rest))
 
 
+def _schmidt_spectrum(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
+    """Squared singular values of the split matrix, descending, as Gram eigenvalues."""
+    mat = _split_matrix(amplitudes, n_spins, region)
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    return np.maximum(np.linalg.eigvalsh(mat @ mat.conj().T)[::-1], 0.0)
+
+
 def reduce(state: StateVector, region, cap: int = DENSE_REGION_CAP) -> DensityMatrix:
     """Partial trace of |state><state| over everything outside the region.
 
@@ -112,24 +118,7 @@ def region_spectrum(state: StateVector, region) -> np.ndarray:
     nonzero reduced-matrix eigenvalues; eigenvalues beyond the smaller
     split dimension are exact zeros and are omitted.
     """
-    mat = _split_matrix(_full_amplitudes(state), state.n_spins, region)
-    if mat.shape[0] > mat.shape[1]:
-        mat = mat.T
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return sv**2
-
-
-def entanglement_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of a density matrix, descending."""
-    return np.linalg.eigvalsh(rho.entries)[::-1].copy()
-
-
-def spectrum_rank(spectrum: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    """Number of eigenvalues above ``cutoff`` relative to the largest."""
-    spectrum = np.asarray(spectrum)
-    if spectrum.size == 0:
-        return 0
-    return int(np.sum(spectrum > cutoff * spectrum.max()))
+    return _schmidt_spectrum(_full_amplitudes(state), state.n_spins, region)
 
 
 def renyi(spectrum: np.ndarray, alpha: float) -> float:
@@ -165,20 +154,15 @@ def topological_entropy(
                 f"region with {len(r)} spins exceeds the dense cap {DENSE_REGION_CAP}"
             )
     amps = _full_amplitudes(state)
-    entropies = []
-    for r in partition.regions:
-        mat = _split_matrix(amps, state.n_spins, r)
-        if mat.shape[0] > mat.shape[1]:
-            mat = mat.T
-        sv = np.linalg.svd(mat, compute_uv=False)
-        entropies.append(renyi(sv**2, alpha))
-    s1, s2, s3, s4 = entropies
+    s1, s2, s3, s4 = (
+        renyi(_schmidt_spectrum(amps, state.n_spins, r), alpha) for r in partition.regions
+    )
     return EntropyReport(alpha=alpha, s1=s1, s2=s2, s3=s3, s4=s4)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, insensitive to global phase."""
-    if not same_basis(a, b):
+    if a.basis != b.basis:
         raise ValueError("states use different bases")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 

@@ -10,12 +10,22 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 __all__ = [
+    "mask",
     "row_reduce",
     "rank",
     "in_span",
     "reduce_mod",
+    "span",
     "kernel_basis",
 ]
+
+
+def mask(components: Iterable[int]) -> int:
+    """Bit vector with a one at each given component, e.g. a spin set."""
+    m = 0
+    for c in components:
+        m |= 1 << c
+    return m
 
 
 def row_reduce(vectors: Iterable[int]) -> list[int]:
@@ -65,6 +75,14 @@ def reduce_mod(basis: Sequence[int], v: int) -> int:
 def in_span(vectors: Iterable[int], v: int) -> bool:
     """Whether v is a GF(2) combination of the given vectors."""
     return reduce_mod(row_reduce(vectors), v) == 0
+
+
+def span(vectors: Iterable[int]) -> list[int]:
+    """Every element of the span of the given vectors, each once."""
+    elements = [0]
+    for b in row_reduce(vectors):
+        elements += [e ^ b for e in elements]
+    return elements
 
 
 def kernel_basis(vectors: Sequence[int]) -> list[int]:

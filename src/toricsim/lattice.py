@@ -17,7 +17,6 @@ evenly, which is what a pure-X loop needs to commute with the Hamiltonian).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import gf2
@@ -26,13 +25,10 @@ __all__ = [
     "LatticeGeometry",
     "RegionPartition",
     "build_lattice",
-    "stabilizer_support",
     "build_partition",
     "partition_presets",
     "region_winds",
     "complement_is_deformable",
-    "geometry_to_json",
-    "partition_to_json",
 ]
 
 
@@ -106,23 +102,6 @@ def build_lattice(L1: int, L2: int) -> LatticeGeometry:
     )
 
 
-def stabilizer_support(geometry: LatticeGeometry, kind: str, index: int) -> tuple[int, ...]:
-    """Support of one star or plaquette operator.
-
-    ``kind`` is "star" or "plaquette"; ``index`` runs over sites in the
-    same row-major order used everywhere else.
-    """
-    if kind == "star":
-        supports = geometry.star_supports
-    elif kind == "plaquette":
-        supports = geometry.plaquette_supports
-    else:
-        raise ValueError(f"unknown stabilizer kind {kind!r}")
-    if not 0 <= index < len(supports):
-        raise ValueError(f"{kind} index {index} out of range")
-    return supports[index]
-
-
 @dataclass(frozen=True)
 class RegionPartition:
     """Four subsystem choices whose entropies isolate the topological term.
@@ -193,13 +172,6 @@ def build_partition(geometry: LatticeGeometry, preset: str) -> RegionPartition:
     return RegionPartition(regions=known[preset], label=preset)
 
 
-def _mask(spins) -> int:
-    m = 0
-    for s in spins:
-        m |= 1 << s
-    return m
-
-
 def _cycles_within(region: tuple[int, ...], constraint_supports) -> list[int]:
     """Spin masks of cycles supported inside the region.
 
@@ -207,22 +179,14 @@ def _cycles_within(region: tuple[int, ...], constraint_supports) -> list[int]:
     region spin becomes a GF(2) vector over constraints; kernel combinations
     are exactly the cycles.
     """
-    vectors = []
-    for s in region:
-        row = 0
-        for k, sup in enumerate(constraint_supports):
-            if s in sup:
-                row |= 1 << k
-        vectors.append(row)
-    combos = gf2.kernel_basis(vectors)
-    cycles = []
-    for c in combos:
-        spin_mask = 0
-        for i, s in enumerate(region):
-            if c >> i & 1:
-                spin_mask |= 1 << s
-        cycles.append(spin_mask)
-    return cycles
+    vectors = [
+        gf2.mask(k for k, sup in enumerate(constraint_supports) if s in sup)
+        for s in region
+    ]
+    return [
+        gf2.mask(s for i, s in enumerate(region) if c >> i & 1)
+        for c in gf2.kernel_basis(vectors)
+    ]
 
 
 def region_winds(geometry: LatticeGeometry, region) -> bool:
@@ -235,13 +199,13 @@ def region_winds(geometry: LatticeGeometry, region) -> bool:
     is contractible on the torus.
     """
     region = tuple(sorted(region))
-    direct_refs = (_mask(geometry.loop1_support), _mask(geometry.loop2_support))
+    direct_refs = (gf2.mask(geometry.loop1_support), gf2.mask(geometry.loop2_support))
     # Z loops winding each direction on the direct lattice: a row of
     # horizontal bonds winds direction 1, a column of vertical bonds
     # winds direction 2.
     dual_refs = (
-        _mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
-        _mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
+        gf2.mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
+        gf2.mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
     )
     for supports, refs in (
         (geometry.star_supports, direct_refs),
@@ -263,8 +227,8 @@ def complement_is_deformable(geometry: LatticeGeometry, region) -> bool:
     region = set(region)
     rest = tuple(s for s in range(geometry.n_spins) if s not in region)
     zrefs = (
-        _mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
-        _mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
+        gf2.mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
+        gf2.mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
     )
     # Classify each dual cycle in the complement by its winding parities
     # against the two Z reference loops; need the classes to span all of
@@ -275,28 +239,3 @@ def complement_is_deformable(geometry: LatticeGeometry, region) -> bool:
         if w:
             classes.append(w)
     return gf2.rank(classes) == 2
-
-
-def geometry_to_json(geometry: LatticeGeometry) -> str:
-    """Serialize the geometry as JSON arrays of spin indices."""
-    return json.dumps(
-        {
-            "L1": geometry.L1,
-            "L2": geometry.L2,
-            "n_spins": geometry.n_spins,
-            "star_supports": [list(s) for s in geometry.star_supports],
-            "plaquette_supports": [list(p) for p in geometry.plaquette_supports],
-            "horizontal_spins": list(geometry.horizontal_spins),
-            "vertical_spins": list(geometry.vertical_spins),
-            "loop1_support": list(geometry.loop1_support),
-            "loop2_support": list(geometry.loop2_support),
-        },
-        indent=2,
-    )
-
-
-def partition_to_json(partition: RegionPartition) -> str:
-    return json.dumps(
-        {"label": partition.label, "regions": [list(r) for r in partition.regions]},
-        indent=2,
-    )

@@ -51,6 +51,11 @@ class PauliOperator:
         return self.phase_exp % 2 == (self.x_mask & self.z_mask).bit_count() % 2
 
     @property
+    def phase(self) -> complex:
+        """The scalar prefactor i**phase_exp."""
+        return _PHASES[self.phase_exp]
+
+    @property
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
 

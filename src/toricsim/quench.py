@@ -13,13 +13,14 @@ pipeline is deterministic end to end.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from importlib import metadata as _metadata
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import ed, entanglement, lattice, stabilizer
+from . import __version__, ed, entanglement, lattice, stabilizer
 from .entanglement import EntropyReport
+from .pauli import single
 
 __all__ = [
     "QuenchConfig",
@@ -32,11 +33,6 @@ __all__ = [
     "verify",
 ]
 
-try:
-    _VERSION = _metadata.version("toricsim")
-except _metadata.PackageNotFoundError:
-    _VERSION = "unknown"
-
 # Samples and spacing used for the eigenphase long-time average: golden-ratio
 # strides decorrelate the samples from any finite recurrence.
 _EIG_SAMPLES = 256
@@ -47,6 +43,17 @@ _DEFAULT_TOLERANCES = {
     "energy_drift": 1e-8,
     "norm_drift": 1e-10,
 }
+
+
+def _finite(name: str, value) -> float:
+    """A finite real number from a config field, as float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,12 @@ class QuenchConfig:
     output_path: str | None = None
 
     def __post_init__(self):
+        for name in ("L1", "L2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("h", "kappa", "t_max", "dt"):
+            _finite(name, getattr(self, name))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_max < 0:
@@ -76,11 +89,20 @@ class QuenchConfig:
                 "sector restriction needs the uniform_z field; other fields "
                 "do not commute with the plaquette constraints"
             )
+        if not isinstance(self.alpha_list, (list, tuple)):
+            raise ValueError(f"alpha_list must be a list, got {self.alpha_list!r}")
         if not self.alpha_list:
             raise ValueError("alpha_list must not be empty")
-        if any(a <= 0 for a in self.alpha_list):
+        alphas = tuple(_finite("Renyi index", a) for a in self.alpha_list)
+        if any(a <= 0 for a in alphas):
             raise ValueError("Renyi indices must be positive")
-        object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
+        object.__setattr__(self, "alpha_list", alphas)
+        if not isinstance(self.tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
+        for name, value in self.tolerances.items():
+            if name not in _DEFAULT_TOLERANCES:
+                raise ValueError(f"unknown tolerance {name!r}")
+            _finite(f"tolerance {name}", value)
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
@@ -175,7 +197,7 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
 
     metadata = {
         "config": _config_echo(config),
-        "version": _VERSION,
+        "version": __version__,
         "seed": ed.LANCZOS_SEED,
         "basis_dimension": op.dimension,
         "propagation": "spectrum" if use_spectrum else "krylov",
@@ -223,26 +245,13 @@ def long_time_average(
         if not 0 < beta < 1:
             raise ValueError("beta must lie strictly between 0 and 1")
         h = beta / (1.0 - beta)
-        cfg = QuenchConfig(
-            L1=config.L1,
-            L2=config.L2,
-            field_mode=config.field_mode,
-            h=h,
-            kappa=config.kappa,
-            t_max=config.t_max,
-            dt=config.dt,
-            alpha_list=(2.0,),
-            partition_preset=config.partition_preset,
-            sector_restrict=config.sector_restrict,
-            tolerances=config.tolerances,
-        )
+        cfg = replace(config, h=h, alpha_list=(2.0,))
         geo, partition, psi0, op = _prepare(cfg)
-        n = int(np.floor((t1 - t0) / cfg.dt + 1e-9))
-        times = [t0 + k * cfg.dt for k in range(n + 1)]
+        times = [t0 + t for t in _time_grid(t1 - t0, cfg.dt)]
         use_spectrum = op.dimension <= ed.FULL_SPECTRUM_CAP
         values = []
         state = None
-        for i, t in enumerate(times):
+        for t in times:
             if use_spectrum:
                 state = ed.evolve(psi0, op, t, method="spectrum")
             else:
@@ -403,8 +412,6 @@ def verify(config: QuenchConfig, partition_override=None) -> tuple[bool, list[st
     ok &= _check(
         lines, "sector orthonormality", float(np.max(np.abs(gram - np.eye(4)))), 1e-12
     )
-
-    from .pauli import single
 
     worst = 0.0
     for psi in states.values():

@@ -14,19 +14,16 @@ the other three sectors are reached by the two noncontractible X loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .gf2 import in_span, rank, row_reduce
+from .gf2 import mask, rank, span
 from .lattice import LatticeGeometry
-from .pauli import PauliOperator, pauli_x
+from .pauli import PauliOperator, pauli_x, pauli_z
 
 __all__ = [
-    "FullBasis",
+    "Basis",
     "StateVector",
-    "StabilizerGroupInfo",
-    "enumerate_group",
     "ground_state",
     "loop_operator",
     "apply_pauli",
@@ -37,27 +34,83 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FullBasis:
-    """The complete 2^N computational basis."""
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Computational-basis states of N spins that a state vector runs over.
+
+    ``kept_indices=None`` means all 2^N states in index order; otherwise
+    the basis is the given subset of full-space indices, stored sorted, as
+    for the plaquette-constrained sector. Bases compare by value.
+    """
 
     n_spins: int
+    kept_indices: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.kept_indices is not None:
+            kept = np.sort(np.asarray(self.kept_indices, dtype=np.int64))
+            object.__setattr__(self, "kept_indices", kept)
 
     @property
     def dimension(self) -> int:
-        return 1 << self.n_spins
+        if self.kept_indices is None:
+            return 1 << self.n_spins
+        return int(self.kept_indices.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Basis):
+            return NotImplemented
+        if self.n_spins != other.n_spins:
+            return False
+        if self.kept_indices is None or other.kept_indices is None:
+            return self.kept_indices is other.kept_indices
+        return np.array_equal(self.kept_indices, other.kept_indices)
+
+    def _indices(self) -> np.ndarray:
+        """Full-space index of each basis state, in basis order."""
+        if self.kept_indices is None:
+            return np.arange(1 << self.n_spins, dtype=np.int64)
+        return self.kept_indices
+
+    def project(self, state: "StateVector", tol: float = 1e-10) -> "StateVector":
+        """Restrict a full-space state that lives in this basis."""
+        if state.basis != Basis(self.n_spins):
+            raise ValueError("can only project a full-basis state of matching size")
+        amps = state.amplitudes[self._indices()]
+        lost = 1.0 - float(np.sum(np.abs(amps) ** 2))
+        if lost > tol:
+            raise ValueError(f"state carries weight {lost:.3e} outside the sector")
+        return StateVector(amps / np.linalg.norm(amps), self)
+
+    def pauli_action(
+        self, op: PauliOperator
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """Where a Pauli string sends each basis state, and with what sign.
+
+        Returns ``(positions, signs, valid)``: ``op`` maps basis state k to
+        ``op.phase * signs[k]`` times basis state ``positions[k]``. ``signs``
+        is None when ``op`` has no Z part (all signs +1), and ``valid`` is
+        None when every image lies in the basis; otherwise it marks the
+        states whose image does, and ``positions`` is meaningless elsewhere.
+        """
+        idx = self._indices()
+        signs = None
+        if op.z_mask:
+            signs = np.where(np.bitwise_count(idx & op.z_mask) & 1, -1.0, 1.0)
+        target = idx ^ op.x_mask if op.x_mask else idx
+        if self.kept_indices is None:
+            return target, signs, None
+        pos = np.minimum(np.searchsorted(idx, target), idx.size - 1)
+        valid = idx[pos] == target
+        return pos, signs, None if valid.all() else valid
 
 
 @dataclass
 class StateVector:
-    """Dense amplitudes over a basis.
-
-    ``basis`` is either a FullBasis or a sector basis object exposing
-    ``n_spins``, ``dimension``, and sorted ``kept_indices``.
-    """
+    """Dense amplitudes over a Basis, the full 2^N space or a sector."""
 
     amplitudes: np.ndarray
-    basis: object
+    basis: Basis
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -75,50 +128,12 @@ class StateVector:
         return StateVector(self.amplitudes.copy(), self.basis)
 
 
-def same_basis(a: StateVector, b: StateVector) -> bool:
-    if a.basis is b.basis:
-        return True
-    if isinstance(a.basis, FullBasis) and isinstance(b.basis, FullBasis):
-        return a.basis.n_spins == b.basis.n_spins
-    ka = getattr(a.basis, "kept_indices", None)
-    kb = getattr(b.basis, "kept_indices", None)
-    if ka is None or kb is None:
-        return False
-    return a.basis.n_spins == b.basis.n_spins and np.array_equal(ka, kb)
-
-
-@dataclass(frozen=True)
-class StabilizerGroupInfo:
-    generators: tuple[PauliOperator, ...]
-    gf2_rank: int
-    group_order: int
-
-
-def enumerate_group(generators: Sequence[PauliOperator]) -> StabilizerGroupInfo:
-    """Rank and order of the group generated by pure-X strings.
-
-    The generators commute exactly when they are pure X, so the group is
-    the GF(2) span of their x masks and its order is 2^rank.
-    """
-    for g in generators:
-        if g.z_mask != 0 or g.phase_exp != 0:
-            raise ValueError(f"generator is not a plain X string: {g}")
-    r = rank(g.x_mask for g in generators)
-    return StabilizerGroupInfo(
-        generators=tuple(generators),
-        gf2_rank=r,
-        group_order=1 << r,
-    )
-
-
 def star_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
     n = geometry.n_spins
     return tuple(pauli_x(n, sup) for sup in geometry.star_supports)
 
 
 def plaquette_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
-    from .pauli import pauli_z
-
     n = geometry.n_spins
     return tuple(pauli_z(n, sup) for sup in geometry.plaquette_supports)
 
@@ -139,17 +154,6 @@ def loop_operator(geometry: LatticeGeometry, direction: int) -> PauliOperator:
     return pauli_x(geometry.n_spins, support)
 
 
-def _group_masks(geometry: LatticeGeometry) -> list[int]:
-    """All 2^rank star-group elements as basis-flip masks."""
-    basis = row_reduce(
-        sum(1 << s for s in sup) for sup in geometry.star_supports
-    )
-    elements = [0]
-    for b in basis:
-        elements += [e ^ b for e in elements]
-    return elements
-
-
 def ground_state(geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0)) -> StateVector:
     """Analytic ground state of one topological sector.
 
@@ -163,15 +167,15 @@ def ground_state(geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0)) ->
         raise ValueError("sector labels must be bits")
     shift = 0
     if w1:
-        shift ^= sum(1 << s for s in geometry.loop1_support)
+        shift ^= mask(geometry.loop1_support)
     if w2:
-        shift ^= sum(1 << s for s in geometry.loop2_support)
-    elements = _group_masks(geometry)
+        shift ^= mask(geometry.loop2_support)
+    elements = span(mask(sup) for sup in geometry.star_supports)
     amps = np.zeros(1 << geometry.n_spins, dtype=np.complex128)
     amps[np.fromiter((e ^ shift for e in elements), dtype=np.int64)] = 1.0 / np.sqrt(
         len(elements)
     )
-    return StateVector(amps, FullBasis(geometry.n_spins))
+    return StateVector(amps, Basis(geometry.n_spins))
 
 
 def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
@@ -181,22 +185,12 @@ def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     result is the in-sector projection of the image.
     """
     amps = state.amplitudes
-    phase = (1 + 0j, 1j, -1 + 0j, -1j)[op.phase_exp]
-    kept = getattr(state.basis, "kept_indices", None)
-    if kept is None:
-        idx = np.arange(amps.size, dtype=np.int64)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-        out = np.zeros_like(amps)
-        out[idx ^ op.x_mask] = phase * signs * amps
-        return out
-    idx = np.asarray(kept, dtype=np.int64)
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-    tgt = idx ^ op.x_mask
-    pos = np.searchsorted(idx, tgt)
-    pos_clipped = np.minimum(pos, idx.size - 1)
-    valid = idx[pos_clipped] == tgt
+    positions, signs, valid = state.basis.pauli_action(op)
+    values = op.phase * (amps if signs is None else signs * amps)
+    if valid is not None:
+        positions, values = positions[valid], values[valid]
     out = np.zeros_like(amps)
-    out[pos_clipped[valid]] = (phase * signs * amps)[valid]
+    out[positions] = values
     return out
 
 
@@ -225,43 +219,23 @@ def analytic_region_entropy(geometry: LatticeGeometry, region) -> float:
         raise ValueError("region must be a proper subset of the spins")
     if any(not 0 <= s < geometry.n_spins for s in region):
         raise ValueError("region contains an out-of-range spin")
-    region_mask = sum(1 << s for s in region)
+    region_mask = mask(region)
     rest_mask = ((1 << geometry.n_spins) - 1) ^ region_mask
-    masks = [sum(1 << s for s in sup) for sup in geometry.star_supports]
+    masks = [mask(sup) for sup in geometry.star_supports]
     r = rank(masks)
     r_in = rank(m & region_mask for m in masks)
     r_out = rank(m & rest_mask for m in masks)
     return float(r_in + r_out - r)
 
 
-def loop_in_star_group(geometry: LatticeGeometry, direction: int) -> bool:
-    """GF(2) membership of a winding loop in the star group (always false)."""
-    masks = [sum(1 << s for s in sup) for sup in geometry.star_supports]
-    loop = loop_operator(geometry, direction)
-    return in_span(masks, loop.x_mask)
-
-
 def save_state(path, state: StateVector) -> None:
     """Binary amplitude dump for regression comparisons."""
-    kept = getattr(state.basis, "kept_indices", None)
-    if kept is None:
-        np.savez(path, amplitudes=state.amplitudes, n_spins=state.n_spins)
-    else:
-        np.savez(
-            path,
-            amplitudes=state.amplitudes,
-            n_spins=state.n_spins,
-            kept_indices=np.asarray(kept, dtype=np.int64),
-        )
+    kept = state.basis.kept_indices
+    extra = {} if kept is None else {"kept_indices": kept}
+    np.savez(path, amplitudes=state.amplitudes, n_spins=state.n_spins, **extra)
 
 
 def load_state(path) -> StateVector:
     with np.load(path) as data:
-        n = int(data["n_spins"])
-        amps = data["amplitudes"]
-        if "kept_indices" in data:
-            from .ed import SectorBasis
-
-            basis = SectorBasis.from_kept(n, data["kept_indices"])
-            return StateVector(amps, basis)
-        return StateVector(amps, FullBasis(n))
+        kept = data["kept_indices"] if "kept_indices" in data else None
+        return StateVector(data["amplitudes"], Basis(int(data["n_spins"]), kept))

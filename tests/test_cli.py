@@ -149,6 +149,28 @@ def test_config_file_errors(tmp_path, capsys):
     assert "bad config field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"L1": 2, "L2": 2, "alpha_list": 2}',
+        '{"L1": "2", "L2": 2}',
+        '{"L1": 2, "L2": 2, "h": "x"}',
+        '{"L1": 2, "L2": 2, "t_max": 1e400}',
+        '{"L1": 2, "L2": 2, "dt": NaN}',
+        '{"L1": 2, "L2": 2, "alpha_list": [Infinity]}',
+        '{"L1": 2, "L2": 2, "tolerances": {"energy_drfit": 1}}',
+    ],
+)
+def test_bad_config_values_are_config_errors(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(["quench", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_lattice_size_required(capsys):
     assert cli.main(["quench", "--h", "0.1"]) == 2
     assert "lattice size missing" in capsys.readouterr().err

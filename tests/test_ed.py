@@ -134,7 +134,7 @@ def test_lanczos_deterministic(geo22):
 def test_lanczos_on_diagonal_operator(geo22):
     n = geo22.n_spins
     terms = [(-0.5, pauli.single(n, "Z", j)) for j in range(n)]
-    op = ed.HamiltonianOperator(terms, stabilizer.FullBasis(n))
+    op = ed.HamiltonianOperator(terms, stabilizer.Basis(n))
     (lam, vec), = ed.lanczos_extremal(op, k=1, tol=1e-10)
     # all spins up minimizes -0.5 * sum sigma^z
     assert abs(lam - (-0.5 * n)) < 1e-9
@@ -166,14 +166,14 @@ def test_full_spectrum_cap(geo22):
 
 
 def test_identity_operator_spectrum():
-    op = ed.HamiltonianOperator([(2.5, pauli.identity(4))], stabilizer.FullBasis(4))
+    op = ed.HamiltonianOperator([(2.5, pauli.identity(4))], stabilizer.Basis(4))
     w, _ = ed.full_spectrum(op)
     assert np.allclose(w, 2.5)
 
 
 def test_operator_rejects_bad_terms(geo22):
     n = geo22.n_spins
-    basis = stabilizer.FullBasis(n)
+    basis = stabilizer.Basis(n)
     with pytest.raises(ValueError, match="non-Hermitian"):
         ed.HamiltonianOperator([(1.0, pauli.PauliOperator(n, 1, 1, 0))], basis)
     with pytest.raises(ValueError):
@@ -212,25 +212,30 @@ def test_sector_spot_checks(geo33):
 
 def test_sector_positions_and_project(geo22):
     basis = ed.build_sector(geo22)
-    pos = basis.positions(basis.kept_indices[[3, 7]])
-    assert list(pos) == [3, 7]
-    with pytest.raises(ValueError):
-        basis.positions(np.array([1], dtype=np.int64))
+    kept = basis.kept_indices
+    # a star maps the sector onto itself: positions locate each image
+    star = stabilizer.star_operators(geo22)[0]
+    pos, signs, valid = basis.pauli_action(star)
+    assert signs is None and valid is None
+    assert np.array_equal(kept[pos], kept ^ star.x_mask)
+    # a single flip leaves the sector from every state
+    _, _, valid = basis.pauli_action(pauli.pauli_x(geo22.n_spins, [0]))
+    assert valid is not None and not valid.any()
 
     full = stabilizer.ground_state(geo22)
     sec = basis.project(full)
     assert abs(np.linalg.norm(sec.amplitudes) - 1.0) < 1e-12
-    back = basis.expand(sec)
-    assert np.allclose(back.amplitudes, full.amplitudes, atol=1e-14)
+    assert np.allclose(sec.amplitudes, full.amplitudes[kept], atol=1e-14)
+    assert np.allclose(np.delete(full.amplitudes, kept), 0.0)
 
     # a single spin flip violates two plaquettes and has no sector weight
     flipped = np.zeros(1 << geo22.n_spins, dtype=np.complex128)
     flipped[1] = 1.0
-    bad = stabilizer.StateVector(flipped, stabilizer.FullBasis(geo22.n_spins))
+    bad = stabilizer.StateVector(flipped, stabilizer.Basis(geo22.n_spins))
     with pytest.raises(ValueError, match="outside the sector"):
         basis.project(bad)
     with pytest.raises(ValueError):
-        basis.expand(full)
+        basis.project(sec)
 
 
 def test_sector_hamiltonian_requires_commuting_terms(geo22):
@@ -309,7 +314,7 @@ def test_winding_loops_commute_with_bare_hamiltonian(geo22):
     rng = np.random.default_rng(89)
     v = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     v /= np.linalg.norm(v)
-    state = stabilizer.StateVector(v, stabilizer.FullBasis(geo22.n_spins))
+    state = stabilizer.StateVector(v, stabilizer.Basis(geo22.n_spins))
     for d in (1, 2):
         w = stabilizer.loop_operator(geo22, d)
         hw = op.matvec(stabilizer.apply_pauli(w, state))
@@ -328,21 +333,8 @@ def test_evolve_errors(geo22):
     small = ed.build_hamiltonian(ed.HamiltonianSpec(geo22), ed.build_sector(geo22))
     with pytest.raises(ValueError):
         ed.evolve(state, small, 1.0)
-
-
-def test_dump_spectrum_format(tmp_path):
-    path = tmp_path / "spec.csv"
-    ed.dump_spectrum(path, np.array([-8.0, -4.0, 0.125]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue"
-    assert lines[1] == "0,-8"
-    assert lines[3] == "2,0.125"
-    assert len(lines) == 4
-
-
-def test_checkpoint_aliases(tmp_path, geo22):
-    state = stabilizer.ground_state(geo22, (1, 0))
-    path = tmp_path / "chk.npz"
-    ed.save_checkpoint(path, state)
-    back = ed.load_checkpoint(path)
-    assert np.array_equal(back.amplitudes, state.amplitudes)
+    # same dimension as the sector, but a different set of basis states
+    foreign = stabilizer.Basis(geo22.n_spins, np.arange(small.dimension))
+    amps = np.full(small.dimension, small.dimension**-0.5)
+    with pytest.raises(ValueError, match="bases"):
+        ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)

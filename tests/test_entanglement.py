@@ -39,13 +39,13 @@ def rho_oracle(amps, n, region):
 def random_state(rng, n):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     v /= np.linalg.norm(v)
-    return stabilizer.StateVector(v, stabilizer.FullBasis(n))
+    return stabilizer.StateVector(v, stabilizer.Basis(n))
 
 
 def product_state(n):
     v = np.zeros(1 << n, dtype=np.complex128)
     v[0] = 1.0
-    return stabilizer.StateVector(v, stabilizer.FullBasis(n))
+    return stabilizer.StateVector(v, stabilizer.Basis(n))
 
 
 def test_reduce_product_state_is_pure():
@@ -56,7 +56,7 @@ def test_reduce_product_state_is_pure():
     assert np.allclose(rho.entries, want, atol=1e-15)
     assert rho.region == (1, 4)
     assert rho.dim == 4
-    assert entanglement.renyi(entanglement.entanglement_spectrum(rho), 1.0) == 0.0
+    assert entanglement.renyi(np.linalg.eigvalsh(rho.entries), 1.0) == 0.0
 
 
 def test_reduce_single_spin_of_ground_state(geo22):
@@ -105,8 +105,7 @@ def test_sector_state_reduces_like_full(geo22):
 def test_entanglement_spectrum_descending_and_normalized():
     rng = np.random.default_rng(107)
     state = random_state(rng, 6)
-    rho = entanglement.reduce(state, (1, 3, 4))
-    lam = entanglement.entanglement_spectrum(rho)
+    lam = entanglement.region_spectrum(state, (1, 3, 4))
     assert np.all(np.diff(lam) <= 1e-15)
     assert abs(lam.sum() - 1.0) < 1e-12
     want = np.linalg.eigvalsh(rho_oracle(state.amplitudes, 6, (1, 3, 4)))[::-1]
@@ -119,7 +118,7 @@ def test_region_spectrum_matches_dense_route(geo22):
     rand = random_state(rng, 8)
     for psi, region in [(state, (0, 3, 6)), (rand, (1, 2, 7)), (rand, (0, 4))]:
         fast = np.sort(entanglement.region_spectrum(psi, region))[::-1]
-        dense = entanglement.entanglement_spectrum(entanglement.reduce(psi, region))
+        dense = np.linalg.eigvalsh(entanglement.reduce(psi, region).entries)[::-1]
         assert np.allclose(fast, dense[: fast.size], atol=1e-12)
         assert np.all(np.abs(dense[fast.size :]) < 1e-12)
 
@@ -129,17 +128,10 @@ def test_ground_state_spectra_are_flat(geo23):
     part = lattice.build_partition(geo23, "levinwen-small")
     for region in part.regions:
         lam = entanglement.region_spectrum(state, region)
-        r = entanglement.spectrum_rank(lam)
+        r = int(np.sum(lam > entanglement.RANK_CUTOFF * lam.max()))
         assert r == 2 ** round(stabilizer.analytic_region_entropy(geo23, region))
         nonzero = lam[lam > 1e-12 * lam.max()]
         assert np.max(np.abs(nonzero - 1.0 / r)) < 1e-10
-
-
-def test_spectrum_rank():
-    assert entanglement.spectrum_rank(np.array([1.0, 0.5, 1e-15])) == 2
-    assert entanglement.spectrum_rank(np.array([])) == 0
-    # the cutoff is relative to the largest eigenvalue
-    assert entanglement.spectrum_rank(np.array([0.3, 0.2]), cutoff=0.7) == 1
 
 
 def test_renyi_flat_spectrum_counts_bits():
@@ -207,7 +199,7 @@ def test_topological_entropy_collapses_when_polarized(geo22):
     # a strong uniform field drives the ground state toward a product state
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=6.0))
     w, vecs = ed.full_spectrum(op)
-    state = stabilizer.StateVector(vecs[:, 0], stabilizer.FullBasis(geo22.n_spins))
+    state = stabilizer.StateVector(vecs[:, 0], stabilizer.Basis(geo22.n_spins))
     part = lattice.build_partition(geo22, "levinwen-small")
     report = entanglement.topological_entropy(state, part, 1.0)
     assert abs(report.s_top) < 0.05
@@ -224,7 +216,7 @@ def test_fidelity_properties(geo22):
     assert abs(entanglement.fidelity(a, a) - 1.0) < 1e-14
     assert entanglement.fidelity(a, b) < 1e-14
     shifted = stabilizer.StateVector(
-        np.exp(0.7j) * a.amplitudes, stabilizer.FullBasis(geo22.n_spins)
+        np.exp(0.7j) * a.amplitudes, stabilizer.Basis(geo22.n_spins)
     )
     assert abs(entanglement.fidelity(a, shifted) - 1.0) < 1e-14
     sec = ed.build_sector(geo22).project(a)

@@ -25,6 +25,8 @@ def test_rank_matches_span_size():
         vecs = random_masks(rng, rng.randint(0, 9), 12)
         span = brute_span(vecs)
         assert 2 ** gf2.rank(vecs) == len(span)
+        elements = gf2.span(vecs)
+        assert len(elements) == len(span) and set(elements) == span
 
 
 def test_row_reduce_preserves_span():

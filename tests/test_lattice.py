@@ -1,7 +1,6 @@
 """Torus geometry invariants and a brute-force homology oracle for presets."""
 
 import itertools
-import json
 import random
 
 import pytest
@@ -134,18 +133,6 @@ def test_build_is_deterministic():
     assert lattice.build_lattice(3, 4) == lattice.build_lattice(3, 4)
 
 
-def test_stabilizer_support_lookup(geo22):
-    assert lattice.stabilizer_support(geo22, "star", 0) == geo22.star_supports[0]
-    assert (
-        lattice.stabilizer_support(geo22, "plaquette", 3)
-        == geo22.plaquette_supports[3]
-    )
-    with pytest.raises(ValueError):
-        lattice.stabilizer_support(geo22, "loop", 0)
-    with pytest.raises(ValueError):
-        lattice.stabilizer_support(geo22, "star", 4)
-
-
 def all_preset_partitions():
     out = []
     for l1, l2 in [(2, 2), (2, 3), (3, 3)]:
@@ -220,18 +207,3 @@ def test_build_partition_errors(geo22, geo33):
         lattice.build_partition(geo22, "levinwen-ring")
     with pytest.raises(ValueError):
         lattice.build_partition(lattice.build_lattice(5, 5), "levinwen-small")
-
-
-def test_geometry_json_round_trip(geo23):
-    data = json.loads(lattice.geometry_to_json(geo23))
-    assert data["L1"] == 2 and data["L2"] == 3
-    assert data["n_spins"] == geo23.n_spins
-    assert [tuple(s) for s in data["star_supports"]] == list(geo23.star_supports)
-    assert tuple(data["loop1_support"]) == geo23.loop1_support
-
-
-def test_partition_json(geo33):
-    part = lattice.build_partition(geo33, "levinwen-ring")
-    data = json.loads(lattice.partition_to_json(part))
-    assert data["label"] == "levinwen-ring"
-    assert [tuple(r) for r in data["regions"]] == list(part.regions)
