@@ -12,7 +12,7 @@ approximation of exp(-iHt).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "full_spectrum",
     "lanczos_extremal",
     "evolve",
+    "propagation",
+    "trajectory",
 ]
 
 FULL_SPECTRUM_CAP = 4096
@@ -276,36 +278,63 @@ def _expm_krylov_step(
     matvec: Callable[[np.ndarray], np.ndarray],
     v: np.ndarray,
     dt: float,
+    target: float,
     m_max: int = 30,
 ) -> tuple[np.ndarray, float]:
-    """One Krylov approximation of exp(-i*H*dt) v with an error estimate."""
+    """One Krylov approximation of exp(-i*H*dt) v with an error estimate.
+
+    The subspace grows until the estimate |beta_m u_m| of the weight leaking
+    past it is within ``target`` (zero on happy breakdown), or to ``m_max``.
+    """
     basis_vecs = [v]
-    alphas: list[float] = []
-    betas: list[float] = []
-    breakdown = False
-    for _ in range(m_max):
+    T = np.zeros((m_max + 1, m_max + 1))
+    for m in range(1, m_max + 1):
         w = matvec(basis_vecs[-1])
-        alphas.append(float(np.vdot(basis_vecs[-1], w).real))
+        T[m - 1, m - 1] = np.vdot(basis_vecs[-1], w).real
         w = _orthogonalize(w, basis_vecs)
         b = float(np.linalg.norm(w))
-        if b <= 1e-14:
-            breakdown = True
+        evals, evecs = np.linalg.eigh(T[:m, :m])
+        u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
+        err = 0.0 if b <= 1e-14 else abs(b * u[-1])
+        if err <= target:
             break
-        betas.append(b)
+        T[m, m - 1] = T[m - 1, m] = b
         basis_vecs.append(w / b)
-    m = len(alphas)
-    T = np.diag(alphas)
-    if m > 1:
-        off = np.array(betas[: m - 1])
-        T = T + np.diag(off, 1) + np.diag(off, -1)
-    evals, evecs = np.linalg.eigh(T)
-    u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
     out = np.zeros_like(v)
-    for coef, q in zip(u, basis_vecs[:m]):
+    for coef, q in zip(u, basis_vecs):
         out += coef * q
-    # Weight leaking past the subspace; zero on happy breakdown.
-    err = 0.0 if breakdown else abs(betas[m - 1] * u[m - 1])
     return out, float(err)
+
+
+def propagation(op: HamiltonianOperator) -> str:
+    """How ``op`` propagates: "spectrum" within the dense cap, else "krylov"."""
+    return "spectrum" if op.dimension <= FULL_SPECTRUM_CAP else "krylov"
+
+
+def _spectral_samples(state: StateVector, op: HamiltonianOperator, times):
+    w, vecs = op.eigensystem()
+    coef = vecs.conj().T @ state.amplitudes
+    for t in times:
+        yield StateVector(vecs @ (coef * np.exp(-1j * w * t)), state.basis)
+
+
+def trajectory(
+    state: StateVector, op: HamiltonianOperator, times: Sequence[float]
+) -> Iterator[StateVector]:
+    """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
+
+    Within the dense cap each sample comes from eigenbasis coefficients
+    computed once; above it the Krylov propagator of ``evolve`` steps from
+    one sample to the next.
+    """
+    if state.basis != op.basis:
+        raise ValueError("state and operator use different bases")
+    if propagation(op) == "spectrum":
+        yield from _spectral_samples(state, op, times)
+        return
+    for step in np.diff(times, prepend=0.0):
+        state = evolve(state, op, step, method="krylov")
+        yield state
 
 
 def evolve(
@@ -325,12 +354,9 @@ def evolve(
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
     if method == "auto":
-        method = "spectrum" if op.dimension <= FULL_SPECTRUM_CAP else "krylov"
+        method = propagation(op)
     if method == "spectrum":
-        w, vecs = op.eigensystem()
-        coef = vecs.conj().T @ state.amplitudes
-        amps = vecs @ (coef * np.exp(-1j * w * t))
-        return StateVector(amps, state.basis)
+        return next(_spectral_samples(state, op, (t,)))
     if method != "krylov":
         raise ValueError(f"unknown method {method!r}")
     if t == 0.0:
@@ -343,7 +369,8 @@ def evolve(
     steps = 0
     while remaining > 1e-15:
         dt = min(dt, remaining)
-        out, err = _expm_krylov_step(op.matvec, v, sign * dt)
+        # The subspace stops where a step would grow dt, so growing stays reachable.
+        out, err = _expm_krylov_step(op.matvec, v, sign * dt, 0.01 * budget * dt)
         if err > budget * dt and dt > 1e-12:
             dt *= 0.5
             steps += 1

@@ -57,21 +57,14 @@ class EntropyReport:
         return 0.5 * (self.s1 + self.s3 - self.s2 - self.s4)
 
 
-def _full_amplitudes(state: StateVector) -> np.ndarray:
-    kept = state.basis.kept_indices
-    if kept is None:
-        return state.amplitudes
-    full = np.zeros(1 << state.n_spins, dtype=np.complex128)
-    full[kept] = state.amplitudes
-    return full
-
-
-def _split_matrix(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
+def _split_matrix(state: StateVector, region) -> np.ndarray:
     """Amplitudes as a (region x complement) matrix.
 
-    Row r holds the amplitudes with the region spins in configuration r,
-    region spins packed ascending and least significant first.
+    Sector states are expanded to the full 2^N basis first. Row r holds the
+    amplitudes with the region spins in configuration r, region spins
+    packed ascending and least significant first.
     """
+    n_spins = state.n_spins
     region = sorted(region)
     if not region:
         raise ValueError("region is empty")
@@ -81,6 +74,11 @@ def _split_matrix(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
         raise ValueError("region contains an out-of-range spin")
     if len(set(region)) != len(region):
         raise ValueError("region repeats a spin")
+    amplitudes = state.amplitudes
+    kept = state.basis.kept_indices
+    if kept is not None:
+        amplitudes = np.zeros(1 << n_spins, dtype=np.complex128)
+        amplitudes[kept] = state.amplitudes
     rest = sorted(set(range(n_spins)) - set(region))
     # Axis n-1-s of the reshaped tensor is spin s (axis 0 is the most
     # significant bit of the basis index).
@@ -90,24 +88,15 @@ def _split_matrix(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
     return np.ascontiguousarray(tensor).reshape(1 << len(region), 1 << len(rest))
 
 
-def _schmidt_spectrum(amplitudes: np.ndarray, n_spins: int, region) -> np.ndarray:
-    """Squared singular values of the split matrix, descending, as Gram eigenvalues."""
-    mat = _split_matrix(amplitudes, n_spins, region)
-    if mat.shape[0] > mat.shape[1]:
-        mat = mat.T
-    return np.maximum(np.linalg.eigvalsh(mat @ mat.conj().T)[::-1], 0.0)
-
-
 def reduce(state: StateVector, region, cap: int = DENSE_REGION_CAP) -> DensityMatrix:
     """Partial trace of |state><state| over everything outside the region.
 
-    Sector states are expanded to the full basis first. Regions above
-    ``cap`` spins are refused since the result is dense.
+    Regions above ``cap`` spins are refused since the result is dense.
     """
     region = tuple(sorted(region))
     if len(region) > cap:
         raise ValueError(f"region has {len(region)} spins, dense cap is {cap}")
-    mat = _split_matrix(_full_amplitudes(state), state.n_spins, region)
+    mat = _split_matrix(state, region)
     return DensityMatrix(entries=mat @ mat.conj().T, region=region)
 
 
@@ -115,10 +104,15 @@ def region_spectrum(state: StateVector, region) -> np.ndarray:
     """Entanglement spectrum of a region, descending, without forming rho.
 
     The squared singular values of the split amplitude matrix are the
-    nonzero reduced-matrix eigenvalues; eigenvalues beyond the smaller
-    split dimension are exact zeros and are omitted.
+    nonzero reduced-matrix eigenvalues; they are taken as the eigenvalues
+    of the smaller side's Gram matrix, with round-off negatives clipped to
+    zero. Eigenvalues beyond the smaller split dimension are exact zeros
+    and are omitted.
     """
-    return _schmidt_spectrum(_full_amplitudes(state), state.n_spins, region)
+    mat = _split_matrix(state, region)
+    if mat.shape[0] > mat.shape[1]:
+        mat = mat.T
+    return np.maximum(np.linalg.eigvalsh(mat @ mat.conj().T)[::-1], 0.0)
 
 
 def renyi(spectrum: np.ndarray, alpha: float) -> float:
@@ -153,10 +147,7 @@ def topological_entropy(
             raise ValueError(
                 f"region with {len(r)} spins exceeds the dense cap {DENSE_REGION_CAP}"
             )
-    amps = _full_amplitudes(state)
-    s1, s2, s3, s4 = (
-        renyi(_schmidt_spectrum(amps, state.n_spins, r), alpha) for r in partition.regions
-    )
+    s1, s2, s3, s4 = (renyi(region_spectrum(state, r), alpha) for r in partition.regions)
     return EntropyReport(alpha=alpha, s1=s1, s2=s2, s3=s3, s4=s4)
 
 

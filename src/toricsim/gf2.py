@@ -13,7 +13,6 @@ __all__ = [
     "mask",
     "row_reduce",
     "rank",
-    "in_span",
     "reduce_mod",
     "span",
     "kernel_basis",
@@ -70,11 +69,6 @@ def reduce_mod(basis: Sequence[int], v: int) -> int:
         if nxt < v:
             v = nxt
     return v
-
-
-def in_span(vectors: Iterable[int], v: int) -> bool:
-    """Whether v is a GF(2) combination of the given vectors."""
-    return reduce_mod(row_reduce(vectors), v) == 0
 
 
 def span(vectors: Iterable[int]) -> list[int]:

@@ -103,6 +103,8 @@ class QuenchConfig:
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
             _finite(f"tolerance {name}", value)
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
@@ -162,17 +164,11 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
     """
     geo, partition, psi0, op = _prepare(config)
     times = _time_grid(config.t_max, config.dt)
-    use_spectrum = op.dimension <= ed.FULL_SPECTRUM_CAP
 
     fid: list[float] = []
     energy: list[float] = []
     entropy: dict[float, list[EntropyReport]] = {a: [] for a in config.alpha_list}
-    state = psi0
-    for t in times:
-        if use_spectrum:
-            state = ed.evolve(psi0, op, t, method="spectrum")
-        elif t > 0:
-            state = ed.evolve(state, op, config.dt, method="krylov")
+    for t, state in zip(times, ed.trajectory(psi0, op, times)):
         norm_err = abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
         if norm_err > config.tolerance("norm_drift"):
             raise RuntimeError(
@@ -200,7 +196,7 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
         "version": __version__,
         "seed": ed.LANCZOS_SEED,
         "basis_dimension": op.dimension,
-        "propagation": "spectrum" if use_spectrum else "krylov",
+        "propagation": ed.propagation(op),
         "initial_sector": [0, 0],
     }
     return QuenchReport(
@@ -248,29 +244,18 @@ def long_time_average(
         cfg = replace(config, h=h, alpha_list=(2.0,))
         geo, partition, psi0, op = _prepare(cfg)
         times = [t0 + t for t in _time_grid(t1 - t0, cfg.dt)]
-        use_spectrum = op.dimension <= ed.FULL_SPECTRUM_CAP
-        values = []
-        state = None
-        for t in times:
-            if use_spectrum:
-                state = ed.evolve(psi0, op, t, method="spectrum")
-            else:
-                prev = psi0 if state is None else state
-                step = t if state is None else cfg.dt
-                state = ed.evolve(prev, op, step, method="krylov")
-            values.append(
-                entanglement.topological_entropy(state, partition, 2.0).s_top
-            )
+        values = [
+            entanglement.topological_entropy(state, partition, 2.0).s_top
+            for state in ed.trajectory(psi0, op, times)
+        ]
         eig_mean = None
-        if use_spectrum:
-            long_samples = []
+        if ed.propagation(op) == "spectrum":
             stride = (t1 - t0) * _GOLDEN
-            for j in range(1, _EIG_SAMPLES + 1):
-                tj = t0 + j * stride
-                s = ed.evolve(psi0, op, tj, method="spectrum")
-                long_samples.append(
-                    entanglement.topological_entropy(s, partition, 2.0).s_top
-                )
+            long_times = [t0 + j * stride for j in range(1, _EIG_SAMPLES + 1)]
+            long_samples = [
+                entanglement.topological_entropy(s, partition, 2.0).s_top
+                for s in ed.trajectory(psi0, op, long_times)
+            ]
             eig_mean = float(np.mean(long_samples))
         rows.append(
             SweepRow(
@@ -453,24 +438,21 @@ def verify(config: QuenchConfig, partition_override=None) -> tuple[bool, list[st
     spec_h = ed.HamiltonianSpec(geometry=geo, h=h, kappa=config.kappa,
                                 field_mode=config.field_mode)
     t_probe = 1.0
+    op_full = ed.build_hamiltonian(spec_h)
     if config.sector_restrict:
         basis = ed.build_sector(geo)
         op_sector = ed.build_hamiltonian(spec_h, basis)
-        op_full = ed.build_hamiltonian(spec_h)
         psi_s = basis.project(psi00)
         evolved_sector = ed.evolve(psi_s, op_sector, t_probe, method="spectrum")
-        method = "spectrum" if op_full.dimension <= ed.FULL_SPECTRUM_CAP else "krylov"
-        evolved_full = ed.evolve(psi00, op_full, t_probe, method=method)
+        evolved_full = ed.evolve(psi00, op_full, t_probe)
         diff = evolved_full.amplitudes[basis.kept_indices] - evolved_sector.amplitudes
         ok &= _check(lines, "sector vs full evolution", float(np.linalg.norm(diff)), 1e-9)
+    elif ed.propagation(op_full) == "spectrum":
+        a_state = ed.evolve(psi00, op_full, t_probe, method="spectrum")
+        b_state = ed.evolve(psi00, op_full, t_probe, method="krylov")
+        deficit = abs(1.0 - entanglement.fidelity(a_state, b_state))
+        ok &= _check(lines, "Krylov vs exact propagation", deficit, 1e-8)
     else:
-        op_full = ed.build_hamiltonian(spec_h)
-        if op_full.dimension <= ed.FULL_SPECTRUM_CAP:
-            a_state = ed.evolve(psi00, op_full, t_probe, method="spectrum")
-            b_state = ed.evolve(psi00, op_full, t_probe, method="krylov")
-            deficit = abs(1.0 - entanglement.fidelity(a_state, b_state))
-            ok &= _check(lines, "Krylov vs exact propagation", deficit, 1e-8)
-        else:
-            lines.append("SKIP Krylov vs exact propagation: dimension above dense cap")
+        lines.append("SKIP Krylov vs exact propagation: dimension above dense cap")
 
     return bool(ok), lines

@@ -159,15 +159,22 @@ def test_config_file_errors(tmp_path, capsys):
         '{"L1": 2, "L2": 2, "dt": NaN}',
         '{"L1": 2, "L2": 2, "alpha_list": [Infinity]}',
         '{"L1": 2, "L2": 2, "tolerances": {"energy_drfit": 1}}',
+        '{"L1": 2, "L2": 2, "t_max": 0.5, "dt": 0.5, "output_path": true}',
+        '{"L1": 2, "L2": 2, "t_max": 0.5, "dt": 0.5, "output_path": 3}',
     ],
 )
-def test_bad_config_values_are_config_errors(tmp_path, capsys, text):
+def test_bad_config_values_are_config_errors(tmp_path, capfd, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert cli.main(["quench", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-    err = capsys.readouterr().err
+    argv = ["quench", "--config", str(path)]
+    if "output_path" not in text:  # --out would override the bad value
+        argv += ["--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 2
+    # capfd sees writes to the file descriptors, where open(1) would land.
+    out, err = capfd.readouterr()
     assert "configuration error" in err
     assert "Traceback" not in err
+    assert out == ""
     assert not (tmp_path / "o.csv").exists()
 
 

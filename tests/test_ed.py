@@ -309,6 +309,72 @@ def test_sector_evolution_matches_full(geo22):
     assert np.max(np.abs(full_t.amplitudes[basis.kept_indices] - sec_t.amplitudes)) < 1e-9
 
 
+@pytest.mark.parametrize("sector", [False, True])
+def test_trajectory_spectral_branch_equals_evolve(geo22, sector):
+    basis = ed.build_sector(geo22) if sector else None
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3), basis)
+    psi0 = stabilizer.ground_state(geo22)
+    if sector:
+        psi0 = basis.project(psi0)
+    assert ed.propagation(op) == "spectrum"
+    times = [0.25 * k for k in range(21)]
+    count = 0
+    for t, state in zip(times, ed.trajectory(psi0, op, times)):
+        want = ed.evolve(psi0, op, t, method="spectrum")
+        assert np.array_equal(state.amplitudes, want.amplitudes)
+        count += 1
+    assert count == len(times)
+    foreign = stabilizer.Basis(geo22.n_spins, np.arange(op.dimension))
+    amps = np.full(op.dimension, op.dimension**-0.5)
+    with pytest.raises(ValueError, match="bases"):
+        next(ed.trajectory(stabilizer.StateVector(amps, foreign), op, times))
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"field_mode": "split_HV", "kappa": 1.0}, {"field_mode": "uniform_z"}]
+)
+def test_trajectory_krylov_branch_at_strong_field(geo22, monkeypatch, kwargs):
+    # The hardest shipped regime: h = 9 (beta = 0.9) out to t = 100. The
+    # quench state spans a small invariant subspace, so a seeded random
+    # state, which needs full-size Krylov steps, runs too.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, **kwargs))
+    rng = np.random.default_rng(29)
+    noise = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    noise /= np.linalg.norm(noise)
+    monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 0)
+    assert ed.propagation(op) == "krylov"
+    times = [2.5 * k for k in range(41)]
+    for psi0 in (stabilizer.ground_state(geo22), stabilizer.StateVector(noise, op.basis)):
+        e0 = op.expectation(psi0.amplitudes)
+        for t, state in zip(times, ed.trajectory(psi0, op, times)):
+            exact = ed.evolve(psi0, op, t, method="spectrum")
+            deficit = 1.0 - abs(np.vdot(exact.amplitudes, state.amplitudes)) ** 2
+            assert deficit < 1e-8
+            assert abs(op.expectation(state.amplitudes) - e0) < 1e-8
+
+
+def test_krylov_substeps_grow_after_halving(geo22, monkeypatch):
+    # A long step at h = 9 must be halved; once a substep converges with
+    # room to spare, the next one must be allowed to grow again.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, kappa=1.0, field_mode="split_HV"))
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    psi0 = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
+    step = ed._expm_krylov_step
+    dts = []
+
+    def record(matvec, v, dt, target):
+        dts.append(dt)
+        return step(matvec, v, dt, target)
+
+    monkeypatch.setattr(ed, "_expm_krylov_step", record)
+    out = ed.evolve(psi0, op, 2.5, method="krylov")
+    assert dts[1] < dts[0]
+    assert any(later > earlier for earlier, later in zip(dts, dts[1:]))
+    exact = ed.evolve(psi0, op, 2.5, method="spectrum")
+    assert np.linalg.norm(out.amplitudes - exact.amplitudes) < 1e-9
+
+
 def test_winding_loops_commute_with_bare_hamiltonian(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22))
     rng = np.random.default_rng(89)

@@ -53,7 +53,7 @@ def test_in_span_agrees_with_enumeration():
         vecs = random_masks(rng, 5, 8)
         span = brute_span(vecs)
         for v in range(256):
-            assert gf2.in_span(vecs, v) == (v in span)
+            assert (gf2.reduce_mod(gf2.row_reduce(vecs), v) == 0) == (v in span)
 
 
 def test_reduce_mod_cancels_span_members():
@@ -107,6 +107,6 @@ def test_kernel_basis_is_complete():
 def test_empty_inputs():
     assert gf2.rank([]) == 0
     assert gf2.row_reduce([]) == []
-    assert gf2.in_span([], 0)
-    assert not gf2.in_span([], 1)
+    assert gf2.reduce_mod(gf2.row_reduce([]), 0) == 0
+    assert gf2.reduce_mod(gf2.row_reduce([]), 1) != 0
     assert gf2.kernel_basis([]) == []
