@@ -85,8 +85,6 @@ def _quench_config(args) -> "object":
 
 
 def _cmd_ground(args) -> int:
-    import numpy as np
-
     from . import ed, lattice, stabilizer
 
     geo = lattice.build_lattice(args.l1, args.l2)
@@ -94,10 +92,7 @@ def _cmd_ground(args) -> int:
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geometry=geo))
     energy = op.expectation(psi.amplitudes)
     target = -geo.L1 * geo.L2 * 2.0
-    residual = 0.0
-    for g in stabilizer.star_operators(geo) + stabilizer.plaquette_operators(geo):
-        image = stabilizer.apply_pauli(g, psi)
-        residual = max(residual, float(np.linalg.norm(image - psi.amplitudes)))
+    residual = stabilizer.residual(geo, psi)
     print(f"lattice {geo.L1}x{geo.L2}, {geo.n_spins} spins, sector {args.sector}")
     print(f"energy {energy:.17g} (expected {target:.17g})")
     print(f"worst stabilizer residual {residual:.3e}")

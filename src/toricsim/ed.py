@@ -84,7 +84,7 @@ class HamiltonianSpec:
         return tuple(terms)
 
 
-def build_sector(geometry: LatticeGeometry, which: str = "all_plaquettes_plus") -> Basis:
+def build_sector(geometry: LatticeGeometry) -> Basis:
     """Enumerate the subspace with every plaquette eigenvalue +1.
 
     One plaquette is the product of all others, so the dimension is
@@ -92,32 +92,32 @@ def build_sector(geometry: LatticeGeometry, which: str = "all_plaquettes_plus") 
     with every plaquette and span that many states, so the sector is their
     GF(2) span, enumerated without visiting the 2^N full space.
     """
-    if which != "all_plaquettes_plus":
-        raise ValueError(f"unknown sector {which!r}")
     flips = geometry.star_supports + (geometry.loop1_support, geometry.loop2_support)
     return Basis(geometry.n_spins, span(mask(sup) for sup in flips))
 
 
 class HamiltonianOperator:
-    """Matrix-free Hermitian operator from weighted Pauli terms.
+    """Matrix-free real symmetric operator from weighted Pauli terms.
 
     Diagonal terms are folded into one vector; every off-diagonal term keeps
     its precomputed target positions from ``Basis.pauli_action`` (plus
-    per-state signs when it carries a Z part). On a sector basis each term
-    must map the sector to itself.
+    per-state signs when it carries a Z part). Terms with imaginary matrix
+    elements (an odd number of Y factors) are refused, so every weight is a
+    float. On a sector basis each term must map the sector to itself.
     """
 
     def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
         self.basis = basis
         self.terms = tuple((float(c), op) for c, op in terms)
-        dim = basis.dimension
-        diag = np.zeros(dim, dtype=np.complex128)
+        diag = np.zeros(basis.dimension)
         offdiag = []
         for coef, op in self.terms:
             if op.n_spins != basis.n_spins:
                 raise ValueError("term size does not match basis")
             if not op.is_hermitian:
                 raise ValueError(f"non-Hermitian term: {op}")
+            if op.phase.imag:
+                raise ValueError(f"term {op} has imaginary matrix elements")
             if coef == 0.0:
                 continue
             perm, signs, valid = basis.pauli_action(op)
@@ -126,15 +126,12 @@ class HamiltonianOperator:
                     f"term {op} does not preserve the sector; "
                     "it fails to commute with a basis constraint"
                 )
-            weight = coef * op.phase
+            weight = coef * op.phase.real
             if op.x_mask == 0:
                 diag += weight if signs is None else weight * signs
                 continue
             offdiag.append((weight, perm, signs))
-        imag_max = float(np.max(np.abs(diag.imag))) if dim else 0.0
-        if imag_max > 1e-14:
-            raise ValueError("diagonal part is not real")
-        self._diag = diag.real.copy()
+        self._diag = diag
         self._offdiag = offdiag
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -155,24 +152,21 @@ class HamiltonianOperator:
         return float(np.vdot(v, self.matvec(v)).real)
 
     def dense(self) -> np.ndarray:
-        dim = self.dimension
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        rows = np.arange(dim)
-        mat[rows, rows] = self._diag
+        mat = np.diag(self._diag)
+        rows = np.arange(self.dimension)
         for weight, perm, signs in self._offdiag:
             vals = weight if signs is None else weight * signs
             mat[perm, rows] += vals
         return mat
 
-    def eigensystem(self, cap: int = FULL_SPECTRUM_CAP) -> tuple[np.ndarray, np.ndarray]:
-        """Cached complete eigendecomposition; refuses above the cap."""
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached real eigendecomposition, vectors stored complex; refuses above the cap."""
+        cap = FULL_SPECTRUM_CAP
         if self.dimension > cap:
-            raise ValueError(
-                f"dimension {self.dimension} exceeds the dense cap {cap}"
-            )
+            raise ValueError(f"dimension {self.dimension} exceeds the dense cap {cap}")
         if self._eig is None:
             w, vecs = np.linalg.eigh(self.dense())
-            self._eig = (w, vecs)
+            self._eig = (w, vecs.astype(np.complex128))
         return self._eig
 
 
@@ -188,11 +182,9 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     return HamiltonianOperator(spec.term_list(), basis)
 
 
-def full_spectrum(
-    op: HamiltonianOperator, cap: int = FULL_SPECTRUM_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def full_spectrum(op: HamiltonianOperator) -> tuple[np.ndarray, np.ndarray]:
     """Complete eigendecomposition (ascending) for small dimensions."""
-    w, vecs = op.eigensystem(cap)
+    w, vecs = op.eigensystem()
     return w.copy(), vecs.copy()
 
 

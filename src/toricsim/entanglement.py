@@ -88,14 +88,14 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
     return np.ascontiguousarray(tensor).reshape(1 << len(region), 1 << len(rest))
 
 
-def reduce(state: StateVector, region, cap: int = DENSE_REGION_CAP) -> DensityMatrix:
+def reduce(state: StateVector, region) -> DensityMatrix:
     """Partial trace of |state><state| over everything outside the region.
 
-    Regions above ``cap`` spins are refused since the result is dense.
+    Regions above ``DENSE_REGION_CAP`` spins are refused: the result is dense.
     """
     region = tuple(sorted(region))
-    if len(region) > cap:
-        raise ValueError(f"region has {len(region)} spins, dense cap is {cap}")
+    if len(region) > DENSE_REGION_CAP:
+        raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
     mat = _split_matrix(state, region)
     return DensityMatrix(entries=mat @ mat.conj().T, region=region)
 

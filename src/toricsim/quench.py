@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class QuenchConfig:
     alpha_list: tuple[float, ...] = (1.0,)
     partition_preset: str = "levinwen-small"
     sector_restrict: bool = False
-    tolerances: dict = field(default_factory=dict)
+    tolerances: tuple[tuple[str, float], ...] = ()
     output_path: str | None = None
 
     def __post_init__(self):
@@ -97,17 +97,22 @@ class QuenchConfig:
         if any(a <= 0 for a in alphas):
             raise ValueError("Renyi indices must be positive")
         object.__setattr__(self, "alpha_list", alphas)
-        if not isinstance(self.tolerances, dict):
-            raise ValueError(f"tolerances must be an object, got {self.tolerances!r}")
-        for name, value in self.tolerances.items():
+        # A dict in, sorted (name, value) pairs stored: immutable and hashable.
+        tolerances = self.tolerances
+        if isinstance(tolerances, tuple):  # the stored pairs, from ``replace``
+            tolerances = dict(tolerances)
+        if not isinstance(tolerances, dict):
+            raise ValueError(f"tolerances must be an object, got {tolerances!r}")
+        for name, value in tolerances.items():
             if name not in _DEFAULT_TOLERANCES:
                 raise ValueError(f"unknown tolerance {name!r}")
             _finite(f"tolerance {name}", value)
+        object.__setattr__(self, "tolerances", tuple(sorted(tolerances.items())))
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
     def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, _DEFAULT_TOLERANCES[name]))
+        return float(dict(self.tolerances).get(name, _DEFAULT_TOLERANCES[name]))
 
 
 @dataclass
@@ -124,6 +129,7 @@ class QuenchReport:
 def _config_echo(config: QuenchConfig) -> dict:
     echo = asdict(config)
     echo["alpha_list"] = list(config.alpha_list)
+    echo["tolerances"] = dict(config.tolerances)
     return echo
 
 
@@ -379,13 +385,7 @@ def verify(config: QuenchConfig, partition_override=None) -> tuple[bool, list[st
     sectors = [(w1, w2) for w1 in (0, 1) for w2 in (0, 1)]
     states = {s: stabilizer.ground_state(geo, s) for s in sectors}
 
-    # Stabilizer eigenvalue residuals over every sector and generator.
-    worst = 0.0
-    gens = stabilizer.star_operators(geo) + stabilizer.plaquette_operators(geo)
-    for psi in states.values():
-        for g in gens:
-            image = stabilizer.apply_pauli(g, psi)
-            worst = max(worst, float(np.linalg.norm(image - psi.amplitudes)))
+    worst = max(stabilizer.residual(geo, psi) for psi in states.values())
     ok &= _check(lines, "stabilizer eigenvalues", worst, 1e-10)
 
     gram = np.array(

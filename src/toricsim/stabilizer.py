@@ -27,6 +27,7 @@ __all__ = [
     "ground_state",
     "loop_operator",
     "apply_pauli",
+    "residual",
     "expectation",
     "analytic_region_entropy",
     "save_state",
@@ -192,6 +193,12 @@ def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     out = np.zeros_like(amps)
     out[positions] = values
     return out
+
+
+def residual(geometry: LatticeGeometry, state: StateVector) -> float:
+    """Worst ||g|state> - |state>|| over every star and plaquette g."""
+    gens = star_operators(geometry) + plaquette_operators(geometry)
+    return max(float(np.linalg.norm(apply_pauli(g, state) - state.amplitudes)) for g in gens)
 
 
 def expectation(state: StateVector, op: PauliOperator) -> complex:

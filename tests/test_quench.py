@@ -1,5 +1,6 @@
 """Quench driver: conservation checks, serialization, and the verify suite."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,24 @@ def test_config_validation():
     assert cfg.alpha_list == (1.0, 2.0)
     assert cfg.tolerance("energy_drift") == 1e-8
     assert small_config(tolerances={"energy_drift": 1e-6}).tolerance("energy_drift") == 1e-6
+
+
+def test_config_is_hashable_and_immutable():
+    assert hash(quench.QuenchConfig(L1=2, L2=2)) == hash(quench.QuenchConfig(L1=2, L2=2))
+    cfg = small_config(t_max=0.5, tolerances={"norm_drift": 1e-9, "energy_drift": 1e-7})
+    assert cfg == small_config(t_max=0.5, tolerances={"energy_drift": 1e-7, "norm_drift": 1e-9})
+    assert len({cfg, small_config(t_max=0.5)}) == 2
+    with pytest.raises(TypeError):
+        cfg.tolerances["norm_drift"] = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tolerances = {"norm_drift": "x"}
+    assert cfg.tolerance("norm_drift") == 1e-9
+    moved = dataclasses.replace(cfg, h=0.5)
+    assert moved.tolerances == cfg.tolerances
+    assert moved.tolerance("energy_drift") == 1e-7
+    echo = quench.run_quench(cfg).metadata["config"]
+    assert echo["tolerances"] == {"energy_drift": 1e-7, "norm_drift": 1e-9}
+    assert quench.QuenchConfig(**echo) == cfg
 
 
 def test_time_grid_includes_endpoint():

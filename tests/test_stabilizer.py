@@ -106,6 +106,17 @@ def test_stabilizer_eigenvector(geo23, sector):
         assert all(abs(image[k] - psi[k]) < 1e-14 for k in psi)
 
 
+def test_residual_vanishes_only_on_ground_states(geo22):
+    for sector in SECTORS:
+        assert stabilizer.residual(geo22, stabilizer.ground_state(geo22, sector)) < 1e-14
+    # The all-up state satisfies every plaquette and no star: A_s flips it
+    # to an orthogonal state, so the residual is sqrt(2).
+    up = np.zeros(1 << geo22.n_spins, dtype=complex)
+    up[0] = 1.0
+    state = stabilizer.StateVector(up, stabilizer.Basis(geo22.n_spins))
+    assert abs(stabilizer.residual(geo22, state) - np.sqrt(2.0)) < 1e-14
+
+
 def test_local_expectations_vanish(geo22):
     state = stabilizer.ground_state(geo22, (1, 0))
     for j in range(geo22.n_spins):
