@@ -16,10 +16,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import mask, span
+from .gf2 import mask, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z, single
-from .stabilizer import Basis, StateVector
+from .stabilizer import Basis, StateVector, check_dimension
 
 __all__ = [
     "HamiltonianSpec",
@@ -90,10 +90,13 @@ def build_sector(geometry: LatticeGeometry) -> Basis:
     One plaquette is the product of all others, so the dimension is
     2^(N - (L1*L2 - 1)). The star flips and the two winding loops commute
     with every plaquette and span that many states, so the sector is their
-    GF(2) span, enumerated without visiting the 2^N full space.
+    GF(2) span, enumerated without visiting the 2^N full space. A span
+    above ``2^stabilizer.BASIS_CAP_BITS`` states is refused before enumeration.
     """
     flips = geometry.star_supports + (geometry.loop1_support, geometry.loop2_support)
-    return Basis(geometry.n_spins, span(mask(sup) for sup in flips))
+    generators = row_reduce(mask(sup) for sup in flips)
+    check_dimension(len(generators), f"the {geometry.L1}x{geometry.L2} plaquette sector")
+    return Basis(geometry.n_spins, span(generators))
 
 
 class HamiltonianOperator:

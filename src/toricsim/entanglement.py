@@ -4,6 +4,12 @@ Entropies are in bits throughout, so a Z2-ordered ground state shows a
 topological entropy of exactly 1. The reduced-matrix row index packs the
 region's spins in ascending order, least significant first, matching the
 global convention that bit j of a basis index is spin j.
+
+Every quantity runs on the state's own basis: amplitudes are scattered
+into a (region x complement) matrix by ``Basis.split_positions``, whose
+columns are only the complement configurations the basis holds. A
+1024-state sector of 18 spins splits into a 16 x 1024 matrix, not into
+2^18 amplitudes.
 """
 
 from __future__ import annotations
@@ -58,14 +64,17 @@ class EntropyReport:
 
 
 def _split_matrix(state: StateVector, region) -> np.ndarray:
-    """Amplitudes as a (region x complement) matrix.
+    """Amplitudes as a (region x complement) matrix, in the state's basis.
 
-    Sector states are expanded to the full 2^N basis first. Row r holds the
-    amplitudes with the region spins in configuration r, region spins
-    packed ascending and least significant first.
+    Row r holds the amplitudes with the region spins in configuration r,
+    region spins packed ascending and least significant first. Columns are
+    the complement configurations that occur in the basis, so a sector
+    state gives a 2^|A| x n_c matrix with n_c at most its dimension and no
+    2^N array is formed. The columns left out hold only zeros, so the
+    reduced matrix and the nonzero spectrum equal the full-space split's.
     """
     n_spins = state.n_spins
-    region = sorted(region)
+    region = tuple(sorted(region))
     if not region:
         raise ValueError("region is empty")
     if len(region) >= n_spins:
@@ -74,18 +83,12 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
         raise ValueError("region contains an out-of-range spin")
     if len(set(region)) != len(region):
         raise ValueError("region repeats a spin")
-    amplitudes = state.amplitudes
-    kept = state.basis.kept_indices
-    if kept is not None:
-        amplitudes = np.zeros(1 << n_spins, dtype=np.complex128)
-        amplitudes[kept] = state.amplitudes
-    rest = sorted(set(range(n_spins)) - set(region))
-    # Axis n-1-s of the reshaped tensor is spin s (axis 0 is the most
-    # significant bit of the basis index).
-    axes = [n_spins - 1 - s for s in reversed(region)]
-    axes += [n_spins - 1 - s for s in reversed(rest)]
-    tensor = amplitudes.reshape((2,) * n_spins).transpose(axes)
-    return np.ascontiguousarray(tensor).reshape(1 << len(region), 1 << len(rest))
+    positions, n_cols = state.basis.split_positions(region)
+    size = (1 << len(region)) * n_cols
+    # Positions are distinct, so when they cover the matrix none stays unset.
+    mat = (np.empty if positions.size == size else np.zeros)(size, dtype=np.complex128)
+    mat[positions] = state.amplitudes
+    return mat.reshape(1 << len(region), n_cols)
 
 
 def reduce(state: StateVector, region) -> DensityMatrix:

@@ -13,7 +13,7 @@ the other three sectors are reached by the two noncontractible X loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,27 @@ __all__ = [
     "load_state",
 ]
 
+# Largest basis that ``ground_state`` and ``ed.build_sector`` will build is
+# 2^BASIS_CAP_BITS states: 16 MiB per complex state vector. Past it the
+# Hamiltonian's per-term index arrays alone run to gigabytes.
+BASIS_CAP_BITS = 20
+
+
+def check_dimension(bits: int, what: str) -> None:
+    """Refuse a basis of 2^bits states above the cap, before building it."""
+    if bits > BASIS_CAP_BITS:
+        raise ValueError(
+            f"{what} has 2^{bits} basis states, above the cap of 2^{BASIS_CAP_BITS}"
+        )
+
+
+def _subset_sums(weights: list[int]) -> np.ndarray:
+    """Entry i is the sum of ``weights[b]`` over the set bits b of i."""
+    sums = np.zeros(1, dtype=np.int64)
+    for w in weights:
+        sums = np.concatenate([sums, sums + w])
+    return sums
+
 
 @dataclass(frozen=True, eq=False)
 class Basis:
@@ -46,6 +67,7 @@ class Basis:
 
     n_spins: int
     kept_indices: np.ndarray | None = None
+    _split_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kept_indices is not None:
@@ -104,6 +126,44 @@ class Basis:
         pos = np.minimum(np.searchsorted(idx, target), idx.size - 1)
         valid = idx[pos] == target
         return pos, signs, None if valid.all() else valid
+
+    def split_positions(self, region: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Where each basis state sits in a (region x complement) matrix.
+
+        ``region`` is a sorted tuple of valid spins. Returns
+        ``(positions, n_cols)``: basis state k belongs at flat position
+        ``positions[k]`` of a ``2^len(region) x n_cols`` matrix. Its row
+        packs the region spins ascending, least significant first; its
+        column counts, in ascending order, the complement configurations
+        that occur in the basis. For the full basis the map is a bit
+        permutation of 2^N entries, derived on each call and not kept; for
+        a kept basis it is memoised per region.
+        """
+        if self.kept_indices is None:
+            # A bit permutation: each spin adds a fixed weight to the flat
+            # position. The low and the high half of the spins are summed
+            # apart into two 2^(N/2) tables, which broadcasting adds.
+            n = self.n_spins
+            rest = [s for s in range(n) if s not in region]
+            weight = [0] * n
+            for i, s in enumerate(region):
+                weight[s] = 1 << (len(rest) + i)
+            for j, s in enumerate(rest):
+                weight[s] = 1 << j
+            half = n // 2
+            positions = _subset_sums(weight[half:])[:, None] + _subset_sums(weight[:half])
+            return positions.ravel(), 1 << len(rest)
+        cached = self._split_cache.get(region)
+        if cached is None:
+            kept = self.kept_indices
+            rows = np.zeros_like(kept)
+            for i, s in enumerate(region):
+                rows |= ((kept >> s) & 1) << i
+            rest_mask = ((1 << self.n_spins) - 1) ^ mask(region)
+            configs, cols = np.unique(kept & rest_mask, return_inverse=True)
+            cached = (rows * configs.size + cols, configs.size)
+            self._split_cache[region] = cached
+        return cached
 
 
 @dataclass
@@ -166,6 +226,7 @@ def ground_state(geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0)) ->
     w1, w2 = sector
     if w1 not in (0, 1) or w2 not in (0, 1):
         raise ValueError("sector labels must be bits")
+    check_dimension(geometry.n_spins, f"the {geometry.L1}x{geometry.L2} full space")
     shift = 0
     if w1:
         shift ^= mask(geometry.loop1_support)
@@ -202,10 +263,19 @@ def residual(geometry: LatticeGeometry, state: StateVector) -> float:
 
 
 def expectation(state: StateVector, op: PauliOperator) -> complex:
-    """Exact <psi|op|psi> via basis application."""
+    """Exact <psi|op|psi> as phase * sum_k conj(psi[pos_k]) * sign_k * psi[k].
+
+    ``pos_k`` and ``sign_k`` come from ``Basis.pauli_action``; states whose
+    image leaves the basis drop out. No image vector is formed.
+    """
     if op.n_spins != state.n_spins:
         raise ValueError("operator and state act on different spin counts")
-    return complex(np.vdot(state.amplitudes, apply_pauli(op, state)))
+    amps = state.amplitudes
+    positions, signs, valid = state.basis.pauli_action(op)
+    values = amps if signs is None else signs * amps
+    if valid is not None:
+        positions, values = positions[valid], values[valid]
+    return complex(op.phase * np.vdot(amps[positions], values))
 
 
 def analytic_region_entropy(geometry: LatticeGeometry, region) -> float:

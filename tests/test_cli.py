@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, outputs, and config merging."""
 
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +35,22 @@ def test_ground_writes_state(tmp_path, capsys):
 def test_ground_bad_sector_is_config_error(capsys):
     assert cli.main(["ground", "--l1", "2", "--l2", "2", "--sector", "5,0"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["4", "20"])
+def test_ground_refuses_oversized_lattice_before_allocating(size, capsys):
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code = cli.main(["ground", "--l1", size, "--l2", size])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert time.monotonic() - start < 5.0
+    assert peak < 16 << 20  # the 4x4 state alone would be 64 GiB
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "cap" in err
 
 
 def test_missing_required_flag_exits_two():

@@ -236,6 +236,15 @@ def test_sector_membership_brute_force(geo23):
     assert list(basis.kept_indices) == members
 
 
+def test_build_sector_refuses_oversized_span():
+    # 5x5: the sector has 2^26 states, above the cap; refused before enumeration
+    with pytest.raises(ValueError, match="cap"):
+        ed.build_sector(lattice.build_lattice(5, 5))
+    with pytest.raises(ValueError, match="cap"):
+        ed.build_sector(lattice.build_lattice(20, 20))
+    assert stabilizer.BASIS_CAP_BITS >= 18  # the 3x3 full space stays buildable
+
+
 def test_sector_spot_checks(geo33):
     basis = ed.build_sector(geo33)
     plaq_masks = [sum(1 << s for s in sup) for sup in geo33.plaquette_supports]

@@ -36,6 +36,51 @@ def rho_oracle(amps, n, region):
     return rho
 
 
+def expanded_split(state, region):
+    """Amplitudes as a (region x complement) matrix.
+
+    Sector states are expanded to the full 2^N basis first. Row r holds the
+    amplitudes with the region spins in configuration r, region spins
+    packed ascending and least significant first.
+    """
+    n_spins = state.n_spins
+    region = sorted(region)
+    if not region:
+        raise ValueError("region is empty")
+    if len(region) >= n_spins:
+        raise ValueError("region must be a proper subset of the spins")
+    if region[0] < 0 or region[-1] >= n_spins:
+        raise ValueError("region contains an out-of-range spin")
+    if len(set(region)) != len(region):
+        raise ValueError("region repeats a spin")
+    amplitudes = state.amplitudes
+    kept = state.basis.kept_indices
+    if kept is not None:
+        amplitudes = np.zeros(1 << n_spins, dtype=np.complex128)
+        amplitudes[kept] = state.amplitudes
+    rest = sorted(set(range(n_spins)) - set(region))
+    # Axis n-1-s of the reshaped tensor is spin s (axis 0 is the most
+    # significant bit of the basis index).
+    axes = [n_spins - 1 - s for s in reversed(region)]
+    axes += [n_spins - 1 - s for s in reversed(rest)]
+    tensor = amplitudes.reshape((2,) * n_spins).transpose(axes)
+    return np.ascontiguousarray(tensor).reshape(1 << len(region), 1 << len(rest))
+
+
+def assert_matches_expanded_split(state, region, tol=1e-12):
+    """Basis-native reduce and region_spectrum against the 2^N split."""
+    mat = expanded_split(state, region)
+    rho = mat @ mat.conj().T
+    got = entanglement.reduce(state, region).entries
+    assert np.max(np.abs(got - rho)) < tol, region
+    side = mat if mat.shape[0] <= mat.shape[1] else mat.T
+    want = np.maximum(np.linalg.eigvalsh(side @ side.conj().T)[::-1], 0.0)
+    lam = entanglement.region_spectrum(state, region)
+    k = min(lam.size, want.size)
+    assert np.max(np.abs(lam[:k] - want[:k])) < tol, region
+    assert np.all(np.abs(lam[k:]) < tol) and np.all(np.abs(want[k:]) < tol), region
+
+
 def random_state(rng, n):
     v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     v /= np.linalg.norm(v)
@@ -261,3 +306,97 @@ def test_entropy_report_csv_format(geo22):
     assert len(both) == 11
     assert both[6] == "levinwen-small:R1,2,0.125"
     assert both[10] == "levinwen-small:S_top,2,0.0625"
+
+
+def random_in_basis(rng, basis):
+    v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    return stabilizer.StateVector(v / np.linalg.norm(v), basis)
+
+
+def test_sector_split_matches_expanded_route_at_strong_field(geo33):
+    basis = ed.build_sector(geo33)
+    psi0 = basis.project(stabilizer.ground_state(geo33))
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo33, h=9.0), basis)
+    presets = [lattice.build_partition(geo33, name) for name in lattice.partition_presets(geo33)]
+    assert len(presets) == 2
+    for state in ed.trajectory(psi0, op, [0.0, 50.0, 100.0]):
+        for part in presets:
+            spectra = []
+            for region in part.regions:
+                assert_matches_expanded_split(state, region)
+                mat = expanded_split(state, region)
+                spectra.append(np.linalg.eigvalsh(mat @ mat.conj().T))
+            for alpha in (1.0, 2.0):
+                got = entanglement.topological_entropy(state, part, alpha).s_top
+                s1, s2, s3, s4 = (entanglement.renyi(lam, alpha) for lam in spectra)
+                assert abs(got - 0.5 * (s1 + s3 - s2 - s4)) < 1e-12
+
+
+def test_sector_split_matches_expanded_route_2x3_and_random(geo22, geo23, geo33):
+    rng = np.random.default_rng(223)
+    basis23 = ed.build_sector(geo23)
+    psi0 = basis23.project(stabilizer.ground_state(geo23))
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo23, h=2.0), basis23)
+    cases = [(geo23, s) for s in ed.trajectory(psi0, op, [0.0, 3.0])]
+    for geo in (geo22, geo23, geo33):
+        cases.append((geo, random_in_basis(rng, ed.build_sector(geo))))
+    for geo, state in cases:
+        regions = [r for name in lattice.partition_presets(geo)
+                   for r in lattice.build_partition(geo, name).regions]
+        regions += [tuple(sorted(rng.choice(geo.n_spins, size=k, replace=False)))
+                    for k in (1, 3, geo.n_spins // 2, min(geo.n_spins - 1, 10))]
+        for region in regions:
+            assert_matches_expanded_split(state, region)
+
+
+def test_bases_of_equal_size_keep_their_own_split_maps():
+    rng = np.random.default_rng(227)
+    n = 8
+    a = stabilizer.Basis(n, rng.choice(1 << n, size=40, replace=False))
+    b = stabilizer.Basis(n, rng.choice(1 << n, size=40, replace=False))
+    assert a != b
+    region = (1, 4, 6)
+    pos_a, cols_a = a.split_positions(region)
+    pos_b, cols_b = b.split_positions(region)
+    for basis, pos, cols in ((a, pos_a, cols_a), (b, pos_b, cols_b)):
+        state = random_in_basis(rng, basis)
+        assert_matches_expanded_split(state, region)
+        assert basis.split_positions(region)[0] is pos  # memoised on the instance
+    assert not (cols_a == cols_b and np.array_equal(pos_a, pos_b))
+
+
+def test_full_basis_keeps_no_split_map():
+    state = random_state(np.random.default_rng(229), 10)
+    entanglement.region_spectrum(state, (2, 5, 7))
+    entanglement.reduce(state, (0, 9))
+    assert state.basis._split_cache == {}
+
+
+def test_split_runs_on_a_40_spin_basis_without_2_to_the_n():
+    rng = np.random.default_rng(233)
+    n = 40
+    # A few states share their complement, so the spectra are not trivial.
+    base = rng.integers(0, 1 << n, size=16, dtype=np.int64)
+    region = (0, 3, 17, 21, 39)
+    flips = [sum(1 << region[i] for i in range(5) if k >> i & 1) for k in (0, 1, 6, 19)]
+    kept = np.unique(np.array([int(x) ^ f for x in base for f in flips], dtype=np.int64))
+    assert kept.size == 64
+    state = random_in_basis(rng, stabilizer.Basis(n, kept))
+    region_mask = sum(1 << s for s in region)
+
+    def row(k):
+        return sum(1 << i for i, s in enumerate(region) if k >> s & 1)
+
+    rho = np.zeros((32, 32), dtype=np.complex128)
+    for k, ak in zip(kept.tolist(), state.amplitudes):
+        for l, al in zip(kept.tolist(), state.amplitudes):
+            if (k ^ l) & ~region_mask == 0:
+                rho[row(k), row(l)] += ak * np.conj(al)
+    got = entanglement.reduce(state, region)
+    assert got.dim == 32
+    assert np.max(np.abs(got.entries - rho)) < 1e-14
+    want = np.linalg.eigvalsh(rho)[::-1]
+    lam = entanglement.region_spectrum(state, region)
+    assert np.max(np.abs(lam - want[: lam.size])) < 1e-14
+    assert np.all(np.abs(want[lam.size :]) < 1e-14)
+    assert entanglement.renyi(lam, 1.0) > 0.1

@@ -210,6 +210,34 @@ def test_apply_pauli_sector_projection(geo22):
     assert np.allclose(stabilizer.apply_pauli(op, sector_state), 0.0)
 
 
+def random_sector_state(rng, basis):
+    v = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    return stabilizer.StateVector(v / np.linalg.norm(v), basis)
+
+
+def test_expectation_matches_apply_pauli_route(geo22, geo23):
+    rng = np.random.default_rng(211)
+    states = [
+        random_sector_state(rng, stabilizer.Basis(6)),
+        random_sector_state(rng, stabilizer.Basis(geo22.n_spins)),
+        random_sector_state(rng, ed.build_sector(geo22)),
+        random_sector_state(rng, ed.build_sector(geo23)),
+    ]
+    for state in states:
+        n = state.n_spins
+        ops = [pauli.single(n, kind, j) for kind in "XYZ" for j in range(n)]
+        ops += [
+            pauli.PauliOperator(
+                n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), int(rng.integers(4))
+            )
+            for _ in range(10)
+        ]
+        for op in ops:
+            want = complex(np.vdot(state.amplitudes, stabilizer.apply_pauli(op, state)))
+            got = stabilizer.expectation(state, op)
+            assert abs(got - want) < 1e-14, (n, str(op))
+
+
 def test_expectation_dimension_mismatch(geo22):
     state = stabilizer.ground_state(geo22)
     with pytest.raises(ValueError):
