@@ -4,9 +4,10 @@ Hamiltonians are lists of weighted Pauli strings applied term by term, so a
 matvec costs O(terms * dimension) with only vector-sized memory. The same
 engine drives any ``stabilizer.Basis``: the full 2^N space, or the
 plaquette-constrained sector from ``build_sector``, whose basis states are
-enumerated explicitly. Small dimensions get a cached dense
-eigendecomposition; larger ones are propagated with an adaptive Krylov
-approximation of exp(-iHt).
+enumerated explicitly. Within the dense cap H is block diagonal in its
+Z-symmetries, and each block is eigendecomposed on first use: the 3x3
+quench state pays for 256 of the sector's 1024 states. Larger dimensions
+are propagated with an adaptive Krylov approximation of exp(-iHt).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import mask, row_reduce, span
+from .gf2 import kernel_basis, mask, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z, single
 from .stabilizer import Basis, StateVector, check_dimension
@@ -27,7 +28,6 @@ __all__ = [
     "build_hamiltonian",
     "build_sector",
     "full_spectrum",
-    "lanczos_extremal",
     "evolve",
     "propagation",
     "trajectory",
@@ -136,7 +136,8 @@ class HamiltonianOperator:
             offdiag.append((weight, perm, signs))
         self._diag = diag
         self._offdiag = offdiag
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+        self._blocks: list[np.ndarray] | None = None
+        self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dimension(self) -> int:
@@ -154,23 +155,68 @@ class HamiltonianOperator:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.vdot(v, self.matvec(v)).real)
 
-    def dense(self) -> np.ndarray:
-        mat = np.diag(self._diag)
-        rows = np.arange(self.dimension)
+    def symmetries(self) -> list[int]:
+        """Z-strings that commute with every term, as a GF(2) basis of spin masks.
+
+        A Z-string commutes with a term when it overlaps the term's flips evenly.
+        """
+        flips = [op.x_mask for coef, op in self.terms if coef and op.x_mask]
+        n = self.basis.n_spins
+        columns = [sum((x >> s & 1) << t for t, x in enumerate(flips)) for s in range(n)]
+        return kernel_basis(columns)
+
+    def blocks(self) -> list[np.ndarray]:
+        """Ascending basis positions of each block, computed on first use.
+
+        A block holds the basis states with equal parities under every
+        symmetry, so every term maps a block into itself.
+        """
+        if self._blocks is None:
+            idx = self.basis._indices()
+            labels = np.zeros(self.dimension, dtype=np.int64)
+            for z in self.symmetries():
+                # Compacting after each parity keeps the labels below the dimension.
+                parity = np.bitwise_count(idx & z) & 1
+                labels = np.unique(2 * labels + parity, return_inverse=True)[1]
+            self._blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
+        return self._blocks
+
+    def dense(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Dense matrix, or its restriction to a set of basis positions.
+
+        ``positions`` must be a set that every term maps into itself, such
+        as a block; rows and columns follow its order.
+        """
+        if positions is None:
+            positions = np.arange(self.dimension)
+        cols = np.arange(positions.size)
+        local = np.empty(self.dimension, dtype=np.int64)
+        local[positions] = cols
+        mat = np.diag(self._diag[positions])
         for weight, perm, signs in self._offdiag:
-            vals = weight if signs is None else weight * signs
-            mat[perm, rows] += vals
+            vals = weight if signs is None else weight * signs[positions]
+            mat[local[perm[positions]], cols] += vals
         return mat
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached real eigendecomposition, vectors stored complex; refuses above the cap."""
+    def eigensystem(self, amplitudes: np.ndarray | None = None) -> list[tuple[np.ndarray, ...]]:
+        """``(positions, w, vecs)`` of every block, or of those ``amplitudes`` touches.
+
+        Each block gets one real ``eigh``, cached on first use, its vectors
+        stored complex. A block is touched where ``amplitudes`` is nonzero.
+        Refuses an operator above the dense cap.
+        """
         cap = FULL_SPECTRUM_CAP
         if self.dimension > cap:
             raise ValueError(f"dimension {self.dimension} exceeds the dense cap {cap}")
-        if self._eig is None:
-            w, vecs = np.linalg.eigh(self.dense())
-            self._eig = (w, vecs.astype(np.complex128))
-        return self._eig
+        out = []
+        for b, positions in enumerate(self.blocks()):
+            if amplitudes is not None and not amplitudes[positions].any():
+                continue
+            if b not in self._eig:
+                w, vecs = np.linalg.eigh(self.dense(positions))
+                self._eig[b] = (w, vecs.astype(np.complex128))
+            out.append((positions, *self._eig[b]))
+        return out
 
 
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
@@ -186,9 +232,14 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
 
 
 def full_spectrum(op: HamiltonianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Complete eigendecomposition (ascending) for small dimensions."""
-    w, vecs = op.eigensystem()
-    return w.copy(), vecs.copy()
+    """Complete eigendecomposition (ascending), merged from every block."""
+    w = np.empty(op.dimension)
+    vecs = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
+    for positions, wb, vb in op.eigensystem():
+        w[positions] = wb
+        vecs[np.ix_(positions, positions)] = vb
+    order = np.argsort(w, kind="stable")
+    return w[order], vecs[:, order]
 
 
 def _orthogonalize(w: np.ndarray, against: list[np.ndarray]) -> np.ndarray:
@@ -197,76 +248,6 @@ def _orthogonalize(w: np.ndarray, against: list[np.ndarray]) -> np.ndarray:
         for q in against:
             w = w - np.vdot(q, w) * q
     return w
-
-
-def lanczos_extremal(
-    op, k: int, tol: float = 1e-10, max_iter: int = 300, seed: int = LANCZOS_SEED
-) -> list[tuple[float, np.ndarray]]:
-    """Lowest k eigenpairs by Lanczos with full reorthogonalization.
-
-    Degenerate levels are resolved by deflation: each converged eigenvector
-    is projected out and the iteration restarts, so a four-fold ground
-    manifold yields four orthonormal vectors. Start vectors come from a
-    fixed seeded generator, making results deterministic. Every returned
-    pair satisfies ||H v - lambda v|| <= tol, checked on the vector itself.
-
-    Raises RuntimeError with the best achieved residual if any slot fails
-    to converge within ``max_iter`` iterations.
-    """
-    matvec = op.matvec
-    dim = op.dimension
-    rng = np.random.default_rng(seed)
-    found: list[tuple[float, np.ndarray]] = []
-    deflate: list[np.ndarray] = []
-    for slot in range(k):
-        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v0 = _orthogonalize(v0, deflate)
-        nrm = float(np.linalg.norm(v0))
-        if nrm < 1e-12:
-            raise RuntimeError("start vector vanished after deflation")
-        basis_vecs = [v0 / nrm]
-        alphas: list[float] = []
-        betas: list[float] = []
-        best_residual = np.inf
-        converged = False
-        for it in range(1, max_iter + 1):
-            w = matvec(basis_vecs[-1])
-            w = _orthogonalize(w, deflate)
-            alphas.append(float(np.vdot(basis_vecs[-1], w).real))
-            w = _orthogonalize(w, basis_vecs)
-            b = float(np.linalg.norm(w))
-            T = np.diag(alphas)
-            if betas:
-                T = T + np.diag(betas, 1) + np.diag(betas, -1)
-            evals, evecs = np.linalg.eigh(T)
-            exhausted = b <= 1e-13 or it >= min(dim, max_iter)
-            # The tridiagonal estimate is cheap; confirm on the Ritz vector
-            # once it claims convergence (or nothing more can be gained).
-            if abs(b * evecs[-1, 0]) <= 0.1 * tol or exhausted:
-                vec = np.zeros_like(basis_vecs[0])
-                for coef, q in zip(evecs[:, 0], basis_vecs):
-                    vec += coef * q
-                vec = _orthogonalize(vec, deflate)
-                vec /= np.linalg.norm(vec)
-                lam = float(np.vdot(vec, matvec(vec)).real)
-                true_res = float(np.linalg.norm(matvec(vec) - lam * vec))
-                best_residual = min(best_residual, true_res)
-                if true_res <= tol:
-                    found.append((lam, vec))
-                    deflate.append(vec)
-                    converged = True
-                    break
-            if exhausted:
-                break
-            betas.append(b)
-            basis_vecs.append(w / b)
-        if not converged:
-            raise RuntimeError(
-                f"Lanczos slot {slot} did not converge: best residual "
-                f"{best_residual:.3e} after {it} iterations (tol {tol:.1e})"
-            )
-    found.sort(key=lambda pair: pair[0])
-    return found
 
 
 def _expm_krylov_step(
@@ -307,10 +288,14 @@ def propagation(op: HamiltonianOperator) -> str:
 
 
 def _spectral_samples(state: StateVector, op: HamiltonianOperator, times):
-    w, vecs = op.eigensystem()
-    coef = vecs.conj().T @ state.amplitudes
+    amps = state.amplitudes
+    blocks = op.eigensystem(amps)
+    coefs = [vecs.conj().T @ amps[positions] for positions, _, vecs in blocks]
     for t in times:
-        yield StateVector(vecs @ (coef * np.exp(-1j * w * t)), state.basis)
+        out = np.zeros_like(amps)
+        for (positions, w, vecs), coef in zip(blocks, coefs):
+            out[positions] = vecs @ (coef * np.exp(-1j * w * t))
+        yield StateVector(out, state.basis)
 
 
 def trajectory(
@@ -318,9 +303,9 @@ def trajectory(
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Within the dense cap each sample comes from eigenbasis coefficients
-    computed once; above it the Krylov propagator of ``evolve`` steps from
-    one sample to the next.
+    Within the dense cap each sample comes from the eigenbasis coefficients
+    of the blocks the state touches, computed once; above it the Krylov
+    propagator of ``evolve`` steps from one sample to the next.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
@@ -341,7 +326,7 @@ def evolve(
 ) -> StateVector:
     """Propagate a state to exp(-iHt)|state>.
 
-    ``method`` is "spectrum" (dense eigendecomposition, cached on the
+    ``method`` is "spectrum" (block eigendecompositions, cached on the
     operator), "krylov" (adaptive substepping, subspace size <= 30), or
     "auto" (spectrum when the dimension is within the dense cap).
     Unitarity is inherited, not enforced: no renormalization happens.

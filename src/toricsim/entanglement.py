@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import RegionPartition
-from .stabilizer import StateVector
+from .stabilizer import BASIS_CAP_BITS, StateVector
 
 __all__ = [
     "DensityMatrix",
@@ -72,6 +72,8 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
     state gives a 2^|A| x n_c matrix with n_c at most its dimension and no
     2^N array is formed. The columns left out hold only zeros, so the
     reduced matrix and the nonzero spectrum equal the full-space split's.
+    A matrix above ``2^stabilizer.BASIS_CAP_BITS`` entries is refused before
+    it is allocated.
     """
     n_spins = state.n_spins
     region = tuple(sorted(region))
@@ -85,6 +87,8 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
         raise ValueError("region repeats a spin")
     positions, n_cols = state.basis.split_positions(region)
     size = (1 << len(region)) * n_cols
+    if size > 1 << BASIS_CAP_BITS:
+        raise ValueError(f"region split of {size} entries is above the cap of 2^{BASIS_CAP_BITS}")
     # Positions are distinct, so when they cover the matrix none stays unset.
     mat = (np.empty if positions.size == size else np.zeros)(size, dtype=np.complex128)
     mat[positions] = state.amplitudes

@@ -14,6 +14,7 @@ the other three sectors are reached by the two noncontractible X loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +57,14 @@ def _subset_sums(weights: list[int]) -> np.ndarray:
     return sums
 
 
+@lru_cache(maxsize=4)
+def _full_indices(n_spins: int) -> np.ndarray:
+    """0 .. 2^n - 1 as one read-only array, shared by every full basis of n spins."""
+    indices = np.arange(1 << n_spins, dtype=np.int64)
+    indices.flags.writeable = False
+    return indices
+
+
 @dataclass(frozen=True, eq=False)
 class Basis:
     """Computational-basis states of N spins that a state vector runs over.
@@ -92,7 +101,7 @@ class Basis:
     def _indices(self) -> np.ndarray:
         """Full-space index of each basis state, in basis order."""
         if self.kept_indices is None:
-            return np.arange(1 << self.n_spins, dtype=np.int64)
+            return _full_indices(self.n_spins)
         return self.kept_indices
 
     def project(self, state: "StateVector", tol: float = 1e-10) -> "StateVector":

@@ -21,6 +21,77 @@ def column_oracle(terms, basis_index, dim):
     return col
 
 
+def lanczos_extremal(
+    op, k: int, tol: float = 1e-10, max_iter: int = 300, seed: int = ed.LANCZOS_SEED
+) -> list[tuple[float, np.ndarray]]:
+    """Lowest k eigenpairs by Lanczos with full reorthogonalization.
+
+    The matrix-free oracle for the dense block spectra. Degenerate levels
+    are resolved by deflation: each converged eigenvector is projected out
+    and the iteration restarts, so a four-fold ground manifold yields four
+    orthonormal vectors. Start vectors come from a fixed seeded generator,
+    making results deterministic. Every returned pair satisfies
+    ||H v - lambda v|| <= tol, checked on the vector itself.
+
+    Raises RuntimeError with the best achieved residual if any slot fails
+    to converge within ``max_iter`` iterations.
+    """
+    matvec = op.matvec
+    dim = op.dimension
+    rng = np.random.default_rng(seed)
+    found: list[tuple[float, np.ndarray]] = []
+    deflate: list[np.ndarray] = []
+    for slot in range(k):
+        v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v0 = ed._orthogonalize(v0, deflate)
+        nrm = float(np.linalg.norm(v0))
+        if nrm < 1e-12:
+            raise RuntimeError("start vector vanished after deflation")
+        basis_vecs = [v0 / nrm]
+        alphas: list[float] = []
+        betas: list[float] = []
+        best_residual = np.inf
+        converged = False
+        for it in range(1, max_iter + 1):
+            w = matvec(basis_vecs[-1])
+            w = ed._orthogonalize(w, deflate)
+            alphas.append(float(np.vdot(basis_vecs[-1], w).real))
+            w = ed._orthogonalize(w, basis_vecs)
+            b = float(np.linalg.norm(w))
+            T = np.diag(alphas)
+            if betas:
+                T = T + np.diag(betas, 1) + np.diag(betas, -1)
+            evals, evecs = np.linalg.eigh(T)
+            exhausted = b <= 1e-13 or it >= min(dim, max_iter)
+            # The tridiagonal estimate is cheap; confirm on the Ritz vector
+            # once it claims convergence (or nothing more can be gained).
+            if abs(b * evecs[-1, 0]) <= 0.1 * tol or exhausted:
+                vec = np.zeros_like(basis_vecs[0])
+                for coef, q in zip(evecs[:, 0], basis_vecs):
+                    vec += coef * q
+                vec = ed._orthogonalize(vec, deflate)
+                vec /= np.linalg.norm(vec)
+                lam = float(np.vdot(vec, matvec(vec)).real)
+                true_res = float(np.linalg.norm(matvec(vec) - lam * vec))
+                best_residual = min(best_residual, true_res)
+                if true_res <= tol:
+                    found.append((lam, vec))
+                    deflate.append(vec)
+                    converged = True
+                    break
+            if exhausted:
+                break
+            betas.append(b)
+            basis_vecs.append(w / b)
+        if not converged:
+            raise RuntimeError(
+                f"Lanczos slot {slot} did not converge: best residual "
+                f"{best_residual:.3e} after {it} iterations (tol {tol:.1e})"
+            )
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
 def test_term_list_uniform_z(geo23):
     spec = ed.HamiltonianSpec(geo23, U=1.2, J=0.8, h=0.3)
     terms = spec.term_list()
@@ -113,7 +184,7 @@ def test_ground_energy_degeneracy_and_gap(geo22, U, J):
 def test_lanczos_resolves_ground_degeneracy(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22))
     tol = 1e-9
-    pairs = ed.lanczos_extremal(op, k=4, tol=tol)
+    pairs = lanczos_extremal(op, k=4, tol=tol)
     assert len(pairs) == 4
     vecs = [v for _, v in pairs]
     for lam, v in pairs:
@@ -125,8 +196,8 @@ def test_lanczos_resolves_ground_degeneracy(geo22):
 
 def test_lanczos_deterministic(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3))
-    a = ed.lanczos_extremal(op, k=1)
-    b = ed.lanczos_extremal(op, k=1)
+    a = lanczos_extremal(op, k=1)
+    b = lanczos_extremal(op, k=1)
     assert a[0][0] == b[0][0]
     assert np.array_equal(a[0][1], b[0][1])
 
@@ -135,7 +206,7 @@ def test_lanczos_on_diagonal_operator(geo22):
     n = geo22.n_spins
     terms = [(-0.5, pauli.single(n, "Z", j)) for j in range(n)]
     op = ed.HamiltonianOperator(terms, stabilizer.Basis(n))
-    (lam, vec), = ed.lanczos_extremal(op, k=1, tol=1e-10)
+    (lam, vec), = lanczos_extremal(op, k=1, tol=1e-10)
     # all spins up minimizes -0.5 * sum sigma^z
     assert abs(lam - (-0.5 * n)) < 1e-9
     assert abs(abs(vec[0]) - 1.0) < 1e-6
@@ -144,7 +215,7 @@ def test_lanczos_on_diagonal_operator(geo22):
 def test_lanczos_matches_full_spectrum(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3))
     w, _ = ed.full_spectrum(op)
-    pairs = ed.lanczos_extremal(op, k=2, tol=1e-10)
+    pairs = lanczos_extremal(op, k=2, tol=1e-10)
     assert abs(pairs[0][0] - w[0]) < 1e-8
     assert abs(pairs[1][0] - w[1]) < 1e-8
 
@@ -152,7 +223,7 @@ def test_lanczos_matches_full_spectrum(geo22):
 def test_lanczos_nonconvergence_raises(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.37))
     with pytest.raises(RuntimeError, match="did not converge"):
-        ed.lanczos_extremal(op, k=1, tol=1e-14, max_iter=2)
+        lanczos_extremal(op, k=1, tol=1e-14, max_iter=2)
 
 
 def test_full_spectrum_cap(geo22, monkeypatch):
@@ -303,7 +374,7 @@ def test_sector_ground_energy_matches_full_space_lanczos(geo33):
     # the sector computation at 1024 states reproduces the 262144-state result
     spec = ed.HamiltonianSpec(geo33, h=0.3)
     ws, _ = ed.full_spectrum(ed.build_hamiltonian(spec, ed.build_sector(geo33)))
-    pairs = ed.lanczos_extremal(ed.build_hamiltonian(spec), k=1, tol=1e-9)
+    pairs = lanczos_extremal(ed.build_hamiltonian(spec), k=1, tol=1e-9)
     assert abs(ws[0] - pairs[0][0]) < 1e-8
 
 
@@ -448,3 +519,141 @@ def test_evolve_errors(geo22):
     amps = np.full(small.dimension, small.dimension**-0.5)
     with pytest.raises(ValueError, match="bases"):
         ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)
+
+
+# (L1, L2, sector basis, couplings, block count, block size), all at h = 9
+BLOCK_CASES = {
+    "2x2-full-uniform_z": (2, 2, False, {"h": 9.0}, 32, 8),
+    "2x2-full-split_HV": (2, 2, False, {"h": 9.0, "kappa": 1.0, "field_mode": "split_HV"}, 4, 64),
+    "2x3-sector": (2, 3, True, {"h": 9.0}, 4, 32),
+    "3x3-sector": (3, 3, True, {"h": 9.0}, 4, 256),
+}
+
+
+def block_case(name):
+    l1, l2, sector, kwargs, _, _ = BLOCK_CASES[name]
+    geo = lattice.build_lattice(l1, l2)
+    basis = ed.build_sector(geo) if sector else None
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, **kwargs), basis)
+    psi0 = stabilizer.ground_state(geo)
+    if sector:
+        psi0 = basis.project(psi0)
+    return op, psi0
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_blocks_come_from_commuting_z_strings(name):
+    op, _ = block_case(name)
+    n = op.basis.n_spins
+    for z in op.symmetries():
+        string = pauli.pauli_z(n, [s for s in range(n) if z >> s & 1])
+        assert all(pauli.commutes(string, term) for _, term in op.terms)
+    blocks = op.blocks()
+    *_, count, size = BLOCK_CASES[name]
+    assert len(blocks) == count and {b.size for b in blocks} == {size}
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(op.dimension))
+    label = np.empty(op.dimension, dtype=int)
+    for i, positions in enumerate(blocks):
+        assert np.all(np.diff(positions) > 0)
+        label[positions] = i
+    mat = op.dense()
+    assert np.all(mat[label[:, None] != label[None, :]] == 0.0)
+    for positions in blocks:
+        assert np.array_equal(op.dense(positions), mat[np.ix_(positions, positions)])
+
+
+def test_blocks_of_signed_flip_terms():
+    # Y0·Y1 flips with a sign, so each block takes its slice of the signs.
+    n = 5
+    yy = pauli.pauli_multiply(pauli.single(n, "Y", 0), pauli.single(n, "Y", 1))
+    terms = [
+        (0.7, yy),
+        (-0.4, pauli.pauli_x(n, [1, 2])),
+        (0.5, pauli.pauli_x(n, [3, 4])),
+        (0.3, pauli.pauli_z(n, [0, 3])),
+        (0.2, pauli.single(n, "Z", 4)),
+    ]
+    op = ed.HamiltonianOperator(terms, stabilizer.Basis(n))
+    assert sorted(op.symmetries()) == [0b00111, 0b11000]
+    mat = op.dense()
+    columns = [op.matvec(one_hot(op.dimension, j)) for j in range(op.dimension)]
+    assert np.array_equal(mat, np.column_stack(columns).real)
+    assert [b.size for b in op.blocks()] == [8, 8, 8, 8]
+    for positions in op.blocks():
+        assert np.array_equal(op.dense(positions), mat[np.ix_(positions, positions)])
+    w, _ = ed.full_spectrum(op)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(mat))) < 1e-12
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_merged_block_spectrum_matches_dense_oracle(name):
+    op, _ = block_case(name)
+    w, vecs = ed.full_spectrum(op)
+    assert np.all(np.diff(w) >= 0)
+    # Relative to the spectral radius (171 on the 3x3 sector at h = 9), as
+    # the dense real and complex eigvalsh already differ by 1e-12 there.
+    scale = np.abs(w).max()
+    assert np.max(np.abs(w - np.linalg.eigvalsh(op.dense()))) < 1e-12 * scale
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(op.dimension))) < 1e-12
+    for i in range(0, op.dimension, max(1, op.dimension // 16)):
+        assert np.linalg.norm(op.matvec(vecs[:, i]) - w[i] * vecs[:, i]) < 1e-11
+
+
+@pytest.mark.parametrize("name", BLOCK_CASES)
+def test_block_trajectory_matches_complex_oracle_to_t100(name):
+    # Out to t = 100 at h = 9 an eigenphase carries about t*|E|*eps ~ 1e-12
+    # of round-off in either route, so the budget is 1e-10 per amplitude.
+    op, psi0 = block_case(name)
+    w_ref, v_ref = np.linalg.eigh(op.dense().astype(complex))
+    rng = np.random.default_rng(37)
+    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
+    assert len(op.eigensystem(psi0.amplitudes)) == 1
+    assert len(op.eigensystem(noise.amplitudes)) == len(op.blocks())
+    times = [12.5 * k for k in range(9)]
+    for psi in (psi0, noise):
+        coef = v_ref.conj().T @ psi.amplitudes
+        for t, state in zip(times, ed.trajectory(psi, op, times)):
+            want = v_ref @ (coef * np.exp(-1j * w_ref * t))
+            assert np.max(np.abs(state.amplitudes - want)) < 1e-10
+
+
+@pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z"])
+def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
+    if name == "2x3-full-uniform_z":  # the largest quench of criterion 7
+        geo = lattice.build_lattice(2, 3)
+        op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=0.3))
+        psi0, size = stabilizer.ground_state(geo), 32
+    else:
+        op, psi0 = block_case(name)
+        size = BLOCK_CASES[name][-1]
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(mat):
+        sizes.append(mat.shape[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    times = [0.0, 0.5, 1.0]
+    list(ed.trajectory(psi0, op, times))
+    ed.evolve(psi0, op, 2.0, method="spectrum")
+    assert sizes == [size]
+    # the state's block is the star orbit: every amplitude outside it stays 0
+    (positions, _, _), = op.eigensystem(psi0.amplitudes)
+    state = ed.evolve(psi0, op, 3.0)
+    outside = np.ones(op.dimension, dtype=bool)
+    outside[positions] = False
+    assert np.all(state.amplitudes[outside] == 0.0)
+
+
+def test_krylov_operator_builds_no_blocks(geo22, monkeypatch):
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3))
+    assert op._blocks is None and not op._eig
+    monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 100)
+    assert ed.propagation(op) == "krylov"
+    list(ed.trajectory(stabilizer.ground_state(geo22), op, [0.0, 0.5]))
+    assert op._blocks is None and not op._eig
+    with pytest.raises(ValueError, match="cap"):
+        op.eigensystem()
+    assert op._blocks is None

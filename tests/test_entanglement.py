@@ -1,5 +1,7 @@
 """Reduced matrices and entropies against a bit-packing partial-trace oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -400,3 +402,22 @@ def test_split_runs_on_a_40_spin_basis_without_2_to_the_n():
     assert np.max(np.abs(lam - want[: lam.size])) < 1e-14
     assert np.all(np.abs(want[lam.size :]) < 1e-14)
     assert entanglement.renyi(lam, 1.0) > 0.1
+
+
+def test_region_spectrum_refuses_oversized_split_before_allocating():
+    # A 30-spin region of a 40-spin kept basis would need 2^30 rows.
+    rng = np.random.default_rng(239)
+    kept = np.unique(rng.integers(0, 1 << 40, size=64, dtype=np.int64))
+    state = random_in_basis(rng, stabilizer.Basis(40, kept))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            entanglement.region_spectrum(state, tuple(range(30)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the 3x3 full space splits into 2^18 entries, within the cap
+    geo = lattice.build_lattice(3, 3)
+    lam = entanglement.region_spectrum(stabilizer.ground_state(geo), tuple(range(9)))
+    assert abs(entanglement.renyi(lam, 2.0) - entanglement.renyi(lam, 1.0)) < 1e-12

@@ -332,3 +332,12 @@ def test_save_load_round_trip(tmp_path, geo22):
     back = stabilizer.load_state(spath)
     assert back.basis == sec.basis
     assert np.array_equal(sec.amplitudes, back.amplitudes)
+
+
+def test_full_bases_share_one_read_only_index_array():
+    a, b = stabilizer.Basis(10), stabilizer.Basis(10)
+    assert a._indices() is b._indices()
+    assert not a._indices().flags.writeable
+    assert np.array_equal(a._indices(), np.arange(1 << 10))
+    kept = np.array([3, 1, 7])
+    assert np.array_equal(stabilizer.Basis(10, kept)._indices(), [1, 3, 7])
