@@ -34,7 +34,8 @@ __all__ = [
 ]
 
 FULL_SPECTRUM_CAP = 4096
-LANCZOS_SEED = 20170831
+# Largest Krylov subspace one propagation step builds.
+KRYLOV_DIM = 30
 
 _FIELD_MODES = ("uniform_z", "split_HV")
 
@@ -255,16 +256,15 @@ def _expm_krylov_step(
     v: np.ndarray,
     dt: float,
     target: float,
-    m_max: int = 30,
 ) -> tuple[np.ndarray, float]:
     """One Krylov approximation of exp(-i*H*dt) v with an error estimate.
 
     The subspace grows until the estimate |beta_m u_m| of the weight leaking
-    past it is within ``target`` (zero on happy breakdown), or to ``m_max``.
+    past it is within ``target`` (zero on happy breakdown), or to ``KRYLOV_DIM``.
     """
     basis_vecs = [v]
-    T = np.zeros((m_max + 1, m_max + 1))
-    for m in range(1, m_max + 1):
+    T = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM + 1))
+    for m in range(1, KRYLOV_DIM + 1):
         w = matvec(basis_vecs[-1])
         T[m - 1, m - 1] = np.vdot(basis_vecs[-1], w).real
         w = _orthogonalize(w, basis_vecs)
@@ -327,8 +327,9 @@ def evolve(
     """Propagate a state to exp(-iHt)|state>.
 
     ``method`` is "spectrum" (block eigendecompositions, cached on the
-    operator), "krylov" (adaptive substepping, subspace size <= 30), or
-    "auto" (spectrum when the dimension is within the dense cap).
+    operator), "krylov" (adaptive substepping, subspaces of at most
+    ``KRYLOV_DIM`` vectors), or "auto" (spectrum when the dimension is
+    within the dense cap).
     Unitarity is inherited, not enforced: no renormalization happens.
     """
     if state.basis != op.basis:

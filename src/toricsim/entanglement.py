@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import RegionPartition
-from .stabilizer import BASIS_CAP_BITS, StateVector
+from .stabilizer import BASIS_CAP_BITS, StateVector, check_region
 
 __all__ = [
     "DensityMatrix",
@@ -42,10 +42,6 @@ class DensityMatrix:
 
     entries: np.ndarray
     region: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -72,19 +68,9 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
     state gives a 2^|A| x n_c matrix with n_c at most its dimension and no
     2^N array is formed. The columns left out hold only zeros, so the
     reduced matrix and the nonzero spectrum equal the full-space split's.
-    A matrix above ``2^stabilizer.BASIS_CAP_BITS`` entries is refused before
-    it is allocated.
+    ``region`` comes from ``stabilizer.check_region``. A matrix above
+    ``2^stabilizer.BASIS_CAP_BITS`` entries is refused before it is allocated.
     """
-    n_spins = state.n_spins
-    region = tuple(sorted(region))
-    if not region:
-        raise ValueError("region is empty")
-    if len(region) >= n_spins:
-        raise ValueError("region must be a proper subset of the spins")
-    if region[0] < 0 or region[-1] >= n_spins:
-        raise ValueError("region contains an out-of-range spin")
-    if len(set(region)) != len(region):
-        raise ValueError("region repeats a spin")
     positions, n_cols = state.basis.split_positions(region)
     size = (1 << len(region)) * n_cols
     if size > 1 << BASIS_CAP_BITS:
@@ -100,7 +86,7 @@ def reduce(state: StateVector, region) -> DensityMatrix:
 
     Regions above ``DENSE_REGION_CAP`` spins are refused: the result is dense.
     """
-    region = tuple(sorted(region))
+    region = check_region(region, state.n_spins)
     if len(region) > DENSE_REGION_CAP:
         raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
     mat = _split_matrix(state, region)
@@ -116,7 +102,7 @@ def region_spectrum(state: StateVector, region) -> np.ndarray:
     zero. Eigenvalues beyond the smaller split dimension are exact zeros
     and are omitted.
     """
-    mat = _split_matrix(state, region)
+    mat = _split_matrix(state, check_region(region, state.n_spins))
     if mat.shape[0] > mat.shape[1]:
         mat = mat.T
     return np.maximum(np.linalg.eigvalsh(mat @ mat.conj().T)[::-1], 0.0)
@@ -149,11 +135,6 @@ def topological_entropy(
     The combination (S1 + S3 - S2 - S4)/2 cancels boundary terms between
     the matched region pairs, leaving the topological contribution.
     """
-    for r in partition.regions:
-        if len(r) > DENSE_REGION_CAP:
-            raise ValueError(
-                f"region with {len(r)} spins exceeds the dense cap {DENSE_REGION_CAP}"
-            )
     s1, s2, s3, s4 = (renyi(region_spectrum(state, r), alpha) for r in partition.regions)
     return EntropyReport(alpha=alpha, s1=s1, s2=s2, s3=s3, s4=s4)
 
@@ -168,11 +149,9 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 def entropy_report_csv(reports, partition: RegionPartition) -> str:
     """CSV rows (region_label, alpha, entropy_bits) with 17 digits.
 
-    ``reports`` is one EntropyReport or a sequence of them (one block of
-    rows per Renyi index under a single header).
+    ``reports`` is a sequence of EntropyReports, one block of rows per Renyi
+    index under a single header.
     """
-    if isinstance(reports, EntropyReport):
-        reports = [reports]
     lines = ["region_label,alpha,entropy_bits"]
     for report in reports:
         values = (report.s1, report.s2, report.s3, report.s4)

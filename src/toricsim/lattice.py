@@ -19,16 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import gf2
-
 __all__ = [
     "LatticeGeometry",
     "RegionPartition",
     "build_lattice",
     "build_partition",
     "partition_presets",
-    "region_winds",
-    "complement_is_deformable",
 ]
 
 
@@ -45,15 +41,6 @@ class LatticeGeometry:
     vertical_spins: tuple[int, ...]
     loop1_support: tuple[int, ...]
     loop2_support: tuple[int, ...]
-
-    def site_index(self, x: int, y: int) -> int:
-        return (y % self.L2) * self.L1 + (x % self.L1)
-
-    def horizontal_bond(self, x: int, y: int) -> int:
-        return 2 * self.site_index(x, y)
-
-    def vertical_bond(self, x: int, y: int) -> int:
-        return 2 * self.site_index(x, y) + 1
 
 
 def build_lattice(L1: int, L2: int) -> LatticeGeometry:
@@ -170,72 +157,3 @@ def build_partition(geometry: LatticeGeometry, preset: str) -> RegionPartition:
             f"shipped: {', '.join(sorted(known))}"
         )
     return RegionPartition(regions=known[preset], label=preset)
-
-
-def _cycles_within(region: tuple[int, ...], constraint_supports) -> list[int]:
-    """Spin masks of cycles supported inside the region.
-
-    A cycle is a spin set meeting every constraint support evenly. Each
-    region spin becomes a GF(2) vector over constraints; kernel combinations
-    are exactly the cycles.
-    """
-    vectors = [
-        gf2.mask(k for k, sup in enumerate(constraint_supports) if s in sup)
-        for s in region
-    ]
-    return [
-        gf2.mask(s for i, s in enumerate(region) if c >> i & 1)
-        for c in gf2.kernel_basis(vectors)
-    ]
-
-
-def region_winds(geometry: LatticeGeometry, region) -> bool:
-    """Whether a region supports a noncontractible cycle of either lattice.
-
-    Checks both cycle families: direct-lattice cycles (even overlap with
-    every star) paired against the dual reference loops, and dual-lattice
-    cycles (even overlap with every plaquette) paired against the direct
-    reference loops. A region that supports neither kind of winding cycle
-    is contractible on the torus.
-    """
-    region = tuple(sorted(region))
-    direct_refs = (gf2.mask(geometry.loop1_support), gf2.mask(geometry.loop2_support))
-    # Z loops winding each direction on the direct lattice: a row of
-    # horizontal bonds winds direction 1, a column of vertical bonds
-    # winds direction 2.
-    dual_refs = (
-        gf2.mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
-        gf2.mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
-    )
-    for supports, refs in (
-        (geometry.star_supports, direct_refs),
-        (geometry.plaquette_supports, dual_refs),
-    ):
-        for cycle in _cycles_within(region, supports):
-            if any((cycle & ref).bit_count() % 2 for ref in refs):
-                return True
-    return False
-
-
-def complement_is_deformable(geometry: LatticeGeometry, region) -> bool:
-    """Whether the complement supports winding X loops of all three classes.
-
-    When it does, every sector-changing loop operator can be deformed off
-    the region by stabilizer moves, which forces the four sector states to
-    share their reduced matrix on the region.
-    """
-    region = set(region)
-    rest = tuple(s for s in range(geometry.n_spins) if s not in region)
-    zrefs = (
-        gf2.mask(geometry.horizontal_bond(x, 0) for x in range(geometry.L1)),
-        gf2.mask(geometry.vertical_bond(0, y) for y in range(geometry.L2)),
-    )
-    # Classify each dual cycle in the complement by its winding parities
-    # against the two Z reference loops; need the classes to span all of
-    # (1,0), (0,1), (1,1).
-    classes = []
-    for cycle in _cycles_within(rest, geometry.plaquette_supports):
-        w = ((cycle & zrefs[0]).bit_count() % 2) | (((cycle & zrefs[1]).bit_count() % 2) << 1)
-        if w:
-            classes.append(w)
-    return gf2.rank(classes) == 2

@@ -1,4 +1,4 @@
-"""Exact Pauli-string algebra on integer bitmasks.
+"""Pauli strings on integer bitmasks, with exact phases.
 
 A Pauli string on N spins is stored as ``i**phase_exp * X^x_mask * Z^z_mask``
 with the X factors to the left of the Z factors. Bit j of a mask refers to
@@ -16,13 +16,9 @@ from dataclasses import dataclass
 
 __all__ = [
     "PauliOperator",
-    "identity",
     "pauli_x",
     "pauli_z",
     "single",
-    "pauli_multiply",
-    "commutes",
-    "apply_to_basis",
 ]
 
 _PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -55,15 +51,6 @@ class PauliOperator:
         """The scalar prefactor i**phase_exp."""
         return _PHASES[self.phase_exp]
 
-    @property
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
-
-    def support(self) -> tuple[int, ...]:
-        """Spins the string acts on nontrivially, ascending."""
-        mask = self.x_mask | self.z_mask
-        return tuple(j for j in range(self.n_spins) if mask >> j & 1)
-
     def __str__(self) -> str:
         factors = []
         for j in range(self.n_spins):
@@ -79,10 +66,6 @@ class PauliOperator:
         if not factors:
             return prefix + "I"
         return prefix + " ".join(factors)
-
-
-def identity(n_spins: int) -> PauliOperator:
-    return PauliOperator(n_spins)
 
 
 def pauli_x(n_spins: int, spins) -> PauliOperator:
@@ -114,43 +97,3 @@ def _mask(n_spins: int, spins) -> int:
             raise ValueError(f"spin {j} out of range for {n_spins} spins")
         mask |= 1 << j
     return mask
-
-
-def pauli_multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Product a*b with exact phase tracking.
-
-    Commuting a's Z block past b's X block contributes a sign for every
-    spin where they meet, so the result is
-    ``i**(pa + pb + 2*|a.z & b.x|) X^(ax^bx) Z^(az^bz)``.
-    """
-    if a.n_spins != b.n_spins:
-        raise ValueError("operators act on different spin counts")
-    phase = a.phase_exp + b.phase_exp + 2 * (a.z_mask & b.x_mask).bit_count()
-    return PauliOperator(
-        a.n_spins,
-        x_mask=a.x_mask ^ b.x_mask,
-        z_mask=a.z_mask ^ b.z_mask,
-        phase_exp=phase % 4,
-    )
-
-
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    """True iff the symplectic form |a.x & b.z| + |a.z & b.x| is even."""
-    if a.n_spins != b.n_spins:
-        raise ValueError("operators act on different spin counts")
-    overlap = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
-    return overlap % 2 == 0
-
-
-def apply_to_basis(op: PauliOperator, basis_index: int) -> tuple[int, complex]:
-    """Apply a Pauli string to one computational-basis state.
-
-    Returns the image index and the exact amplitude, so
-    ``op |basis_index> = amplitude |new_index>``. The Z block acts first
-    and contributes (-1) per occupied spin in z_mask; the X block then
-    flips x_mask.
-    """
-    if not 0 <= basis_index < (1 << op.n_spins):
-        raise ValueError("basis index out of range")
-    sign = (op.z_mask & basis_index).bit_count() % 2
-    return basis_index ^ op.x_mask, _PHASES[(op.phase_exp + 2 * sign) % 4]

@@ -29,7 +29,6 @@ __all__ = [
     "run_quench",
     "long_time_average",
     "emit",
-    "report_from_json",
     "verify",
 ]
 
@@ -200,7 +199,6 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
     metadata = {
         "config": _config_echo(config),
         "version": __version__,
-        "seed": ed.LANCZOS_SEED,
         "basis_dimension": op.dimension,
         "propagation": ed.propagation(op),
         "initial_sector": [0, 0],
@@ -284,8 +282,7 @@ def emit(report: QuenchReport, format: str, path) -> None:
 
     CSV columns are t, fidelity, energy, then per Renyi index the four
     region entropies and the topological combination, all with 17
-    significant digits. JSON mirrors the report structure plus metadata and
-    round-trips exactly through ``report_from_json``.
+    significant digits. JSON mirrors the report structure plus metadata.
     """
     if format == "csv":
         alphas = sorted(report.entropy)
@@ -331,33 +328,6 @@ def emit(report: QuenchReport, format: str, path) -> None:
         fh.write(text)
 
 
-def report_from_json(path) -> QuenchReport:
-    """Inverse of ``emit(..., "json", ...)``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    entropy = {}
-    for key, block in payload["entropy"].items():
-        a = float(key)
-        reps = tuple(
-            EntropyReport(
-                alpha=a,
-                s1=block["s1"][i],
-                s2=block["s2"][i],
-                s3=block["s3"][i],
-                s4=block["s4"][i],
-            )
-            for i in range(len(block["s1"]))
-        )
-        entropy[a] = reps
-    return QuenchReport(
-        times=tuple(payload["times"]),
-        fidelity=tuple(payload["fidelity"]),
-        energy=tuple(payload["energy"]),
-        entropy=entropy,
-        metadata=payload["metadata"],
-    )
-
-
 def _check(lines: list[str], name: str, value: float, tol: float) -> bool:
     ok = value <= tol
     lines.append(
@@ -366,22 +336,19 @@ def _check(lines: list[str], name: str, value: float, tol: float) -> bool:
     return ok
 
 
-def verify(config: QuenchConfig, partition_override=None) -> tuple[bool, list[str]]:
+def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     """Run the cross-module invariant suite at this config's lattice size.
 
     Checks stabilizer eigenvalues, sector orthonormality, vanishing local
     expectations, flat entanglement spectra against the group-rank rule,
     sector indistinguishability of reduced matrices, the topological
     entropy, and Krylov propagation against an exact reference. Returns
-    (all_passed, per-check lines). ``partition_override`` substitutes a
-    custom region quadruple for the shipped preset.
+    (all_passed, per-check lines).
     """
     lines: list[str] = []
     ok = True
     geo = lattice.build_lattice(config.L1, config.L2)
-    partition = partition_override
-    if partition is None:
-        partition = lattice.build_partition(geo, config.partition_preset)
+    partition = lattice.build_partition(geo, config.partition_preset)
     sectors = [(w1, w2) for w1 in (0, 1) for w2 in (0, 1)]
     states = {s: stabilizer.ground_state(geo, s) for s in sectors}
 

@@ -26,19 +26,20 @@ __all__ = [
     "Basis",
     "StateVector",
     "ground_state",
-    "loop_operator",
     "apply_pauli",
     "residual",
     "expectation",
     "analytic_region_entropy",
     "save_state",
-    "load_state",
 ]
 
 # Largest basis that ``ground_state`` and ``ed.build_sector`` will build is
 # 2^BASIS_CAP_BITS states: 16 MiB per complex state vector. Past it the
 # Hamiltonian's per-term index arrays alone run to gigabytes.
 BASIS_CAP_BITS = 20
+
+# Weight a state may carry outside the basis it is projected on.
+PROJECT_TOL = 1e-10
 
 
 def check_dimension(bits: int, what: str) -> None:
@@ -47,6 +48,21 @@ def check_dimension(bits: int, what: str) -> None:
         raise ValueError(
             f"{what} has 2^{bits} basis states, above the cap of 2^{BASIS_CAP_BITS}"
         )
+
+
+def check_region(region, n_spins: int) -> tuple[int, ...]:
+    """The region's spins, ascending. Refuses an empty region, a repeated or
+    out-of-range spin, and the whole set of spins."""
+    spins = tuple(sorted(region))
+    if not spins:
+        raise ValueError("region is empty")
+    if len(set(spins)) != len(spins):
+        raise ValueError("region repeats a spin")
+    if spins[0] < 0 or spins[-1] >= n_spins:
+        raise ValueError("region contains an out-of-range spin")
+    if len(spins) == n_spins:
+        raise ValueError("region must be a proper subset of the spins")
+    return spins
 
 
 def _subset_sums(weights: list[int]) -> np.ndarray:
@@ -104,13 +120,13 @@ class Basis:
             return _full_indices(self.n_spins)
         return self.kept_indices
 
-    def project(self, state: "StateVector", tol: float = 1e-10) -> "StateVector":
+    def project(self, state: "StateVector") -> "StateVector":
         """Restrict a full-space state that lives in this basis."""
         if state.basis != Basis(self.n_spins):
             raise ValueError("can only project a full-basis state of matching size")
         amps = state.amplitudes[self._indices()]
         lost = 1.0 - float(np.sum(np.abs(amps) ** 2))
-        if lost > tol:
+        if lost > PROJECT_TOL:
             raise ValueError(f"state carries weight {lost:.3e} outside the sector")
         return StateVector(amps / np.linalg.norm(amps), self)
 
@@ -139,7 +155,7 @@ class Basis:
     def split_positions(self, region: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Where each basis state sits in a (region x complement) matrix.
 
-        ``region`` is a sorted tuple of valid spins. Returns
+        ``region`` is a tuple from ``check_region``. Returns
         ``(positions, n_cols)``: basis state k belongs at flat position
         ``positions[k]`` of a ``2^len(region) x n_cols`` matrix. Its row
         packs the region spins ascending, least significant first; its
@@ -206,22 +222,6 @@ def star_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
 def plaquette_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
     n = geometry.n_spins
     return tuple(pauli_z(n, sup) for sup in geometry.plaquette_supports)
-
-
-def loop_operator(geometry: LatticeGeometry, direction: int) -> PauliOperator:
-    """Noncontractible X loop winding the given torus direction.
-
-    The loop flips all spins along a cycle of the dual lattice, so it
-    commutes with every star and plaquette but is not itself a product of
-    stars; it connects the four degenerate sectors.
-    """
-    if direction == 1:
-        support = geometry.loop1_support
-    elif direction == 2:
-        support = geometry.loop2_support
-    else:
-        raise ValueError("direction must be 1 or 2")
-    return pauli_x(geometry.n_spins, support)
 
 
 def ground_state(geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0)) -> StateVector:
@@ -298,14 +298,7 @@ def analytic_region_entropy(geometry: LatticeGeometry, region) -> float:
     S = rank(masks|region) + rank(masks|complement) - rank(masks).
     The value holds for every Renyi index and every sector.
     """
-    region = set(region)
-    if not region:
-        raise ValueError("region is empty")
-    if len(region) >= geometry.n_spins:
-        raise ValueError("region must be a proper subset of the spins")
-    if any(not 0 <= s < geometry.n_spins for s in region):
-        raise ValueError("region contains an out-of-range spin")
-    region_mask = mask(region)
+    region_mask = mask(check_region(region, geometry.n_spins))
     rest_mask = ((1 << geometry.n_spins) - 1) ^ region_mask
     masks = [mask(sup) for sup in geometry.star_supports]
     r = rank(masks)
@@ -319,9 +312,3 @@ def save_state(path, state: StateVector) -> None:
     kept = state.basis.kept_indices
     extra = {} if kept is None else {"kept_indices": kept}
     np.savez(path, amplitudes=state.amplitudes, n_spins=state.n_spins, **extra)
-
-
-def load_state(path) -> StateVector:
-    with np.load(path) as data:
-        kept = data["kept_indices"] if "kept_indices" in data else None
-        return StateVector(data["amplitudes"], Basis(int(data["n_spins"]), kept))

@@ -28,8 +28,8 @@ def test_ground_writes_state(tmp_path, capsys):
     from toricsim import lattice
 
     want = stabilizer.ground_state(lattice.build_lattice(2, 2), (1, 0))
-    back = stabilizer.load_state(path)
-    assert np.array_equal(back.amplitudes, want.amplitudes)
+    with np.load(path) as data:
+        assert np.array_equal(data["amplitudes"], want.amplitudes)
 
 
 def test_ground_bad_sector_is_config_error(capsys):
@@ -100,9 +100,9 @@ def test_quench_json_output(tmp_path):
         ]
     )
     assert code == 0
-    report = quench.report_from_json(path)
-    assert len(report.times) == 3
-    assert report.metadata["config"]["h"] == 0.1
+    payload = json.loads(path.read_text())
+    assert len(payload["times"]) == 3
+    assert payload["metadata"]["config"]["h"] == 0.1
 
 
 def test_quench_without_out_prints_summary(capsys):
@@ -147,7 +147,7 @@ def test_config_file_with_flag_override(tmp_path):
         ]
     )
     assert code == 0
-    echoed = quench.report_from_json(out).metadata["config"]
+    echoed = json.loads(out.read_text())["metadata"]["config"]
     assert echoed["h"] == 0.25
     assert echoed["t_max"] == 1.0
 

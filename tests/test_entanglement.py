@@ -102,7 +102,7 @@ def test_reduce_product_state_is_pure():
     want[0, 0] = 1.0
     assert np.allclose(rho.entries, want, atol=1e-15)
     assert rho.region == (1, 4)
-    assert rho.dim == 4
+    assert rho.entries.shape == (4, 4)
     assert entanglement.renyi(np.linalg.eigvalsh(rho.entries), 1.0) == 0.0
 
 
@@ -275,30 +275,38 @@ def test_region_size_caps(geo33):
     state = product_state(geo33.n_spins)
     with pytest.raises(ValueError, match="cap"):
         entanglement.reduce(state, tuple(range(15)))
+    # the spectrum forms no dense rho: a 15-spin region is a 2^15 x 8 split
     part = lattice.RegionPartition(
-        regions=(tuple(range(15)), (0,), (1,), (2,)), label="toobig"
+        regions=(tuple(range(15)), (0,), (1,), (2,)), label="big"
     )
-    with pytest.raises(ValueError, match="cap"):
-        entanglement.topological_entropy(state, part, 1.0)
+    report = entanglement.topological_entropy(state, part, 1.0)
+    assert report.s1 == report.s2 == report.s3 == report.s4 == 0.0
 
 
-def test_split_validation_errors():
-    state = product_state(4)
-    with pytest.raises(ValueError):
-        entanglement.reduce(state, ())
-    with pytest.raises(ValueError):
-        entanglement.reduce(state, (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        entanglement.reduce(state, (0, 9))
-    with pytest.raises(ValueError):
-        entanglement.reduce(state, (0, 0, 1))
+@pytest.mark.parametrize("sector", [False, True])
+def test_topological_entropy_of_complement_regions(geo33, sector):
+    # The complements of the 3x3 levinwen-small regions hold 14 and 15 spins.
+    # A pure state has S(A) = S(complement of A), so S_top stays one bit.
+    psi = stabilizer.ground_state(geo33)
+    if sector:
+        psi = ed.build_sector(geo33).project(psi)
+    part = lattice.build_partition(geo33, "levinwen-small")
+    rest = tuple(tuple(sorted(set(range(geo33.n_spins)) - set(r))) for r in part.regions)
+    assert sorted({len(r) for r in rest}) == [14, 15]
+    complement = lattice.RegionPartition(regions=rest, label="complement")
+    for alpha in (1.0, 2.0):
+        got = entanglement.topological_entropy(psi, complement, alpha)
+        want = entanglement.topological_entropy(psi, part, alpha)
+        assert abs(got.s_top - 1.0) < 1e-10
+        for name in ("s1", "s2", "s3", "s4"):
+            assert abs(getattr(got, name) - getattr(want, name)) < 1e-10
 
 
 def test_entropy_report_csv_format(geo22):
     part = lattice.build_partition(geo22, "levinwen-small")
     r1 = entanglement.EntropyReport(alpha=1.0, s1=2.0, s2=1.0, s3=2.0, s4=1.0)
     r2 = entanglement.EntropyReport(alpha=2.0, s1=0.125, s2=0.0, s3=0.0, s4=0.0)
-    text = entanglement.entropy_report_csv(r1, part)
+    text = entanglement.entropy_report_csv([r1], part)
     lines = text.splitlines()
     assert lines[0] == "region_label,alpha,entropy_bits"
     assert lines[1] == "levinwen-small:R1,1,2"
@@ -395,7 +403,7 @@ def test_split_runs_on_a_40_spin_basis_without_2_to_the_n():
             if (k ^ l) & ~region_mask == 0:
                 rho[row(k), row(l)] += ak * np.conj(al)
     got = entanglement.reduce(state, region)
-    assert got.dim == 32
+    assert got.entries.shape == (32, 32)
     assert np.max(np.abs(got.entries - rho)) < 1e-14
     want = np.linalg.eigvalsh(rho)[::-1]
     lam = entanglement.region_spectrum(state, region)

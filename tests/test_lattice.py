@@ -1,18 +1,10 @@
 """Torus geometry invariants and a brute-force homology oracle for presets."""
 
 import itertools
-import random
 
 import pytest
 
-from toricsim import lattice
-
-
-def mask(spins):
-    m = 0
-    for s in spins:
-        m |= 1 << s
-    return m
+from toricsim import gf2, lattice
 
 
 def spanset(masks):
@@ -29,13 +21,13 @@ def oracle_winds(geo, region):
     (resp. plaquette) evenly but is not a GF(2) combination of plaquette
     (resp. star) supports, i.e. it is a cycle that is not a boundary.
     """
-    star_masks = [mask(s) for s in geo.star_supports]
-    plaq_masks = [mask(p) for p in geo.plaquette_supports]
+    star_masks = [gf2.mask(s) for s in geo.star_supports]
+    plaq_masks = [gf2.mask(p) for p in geo.plaquette_supports]
     star_span = spanset(star_masks)
     plaq_span = spanset(plaq_masks)
     spins = sorted(region)
     for bits in range(1, 1 << len(spins)):
-        c = mask(spins[i] for i in range(len(spins)) if bits >> i & 1)
+        c = gf2.mask(spins[i] for i in range(len(spins)) if bits >> i & 1)
         if all((c & sm).bit_count() % 2 == 0 for sm in star_masks):
             if c not in plaq_span:
                 return True
@@ -43,6 +35,52 @@ def oracle_winds(geo, region):
             if c not in star_span:
                 return True
     return False
+
+
+def bond(geo, x, y, direction):
+    """Spin on the bond leaving site (x, y) along 1 or 2, by the README formula."""
+    return 2 * ((y % geo.L2) * geo.L1 + (x % geo.L1)) + (direction - 1)
+
+
+def _cycles_within(region: tuple[int, ...], constraint_supports) -> list[int]:
+    """Spin masks of cycles supported inside the region.
+
+    A cycle is a spin set meeting every constraint support evenly. Each
+    region spin becomes a GF(2) vector over constraints; kernel combinations
+    are exactly the cycles.
+    """
+    vectors = [
+        gf2.mask(k for k, sup in enumerate(constraint_supports) if s in sup)
+        for s in region
+    ]
+    return [
+        gf2.mask(s for i, s in enumerate(region) if c >> i & 1)
+        for c in gf2.kernel_basis(vectors)
+    ]
+
+
+def complement_is_deformable(geometry, region) -> bool:
+    """Whether the complement supports winding X loops of all three classes.
+
+    When it does, every sector-changing loop operator can be deformed off
+    the region by stabilizer moves, which forces the four sector states to
+    share their reduced matrix on the region.
+    """
+    region = set(region)
+    rest = tuple(s for s in range(geometry.n_spins) if s not in region)
+    zrefs = (
+        gf2.mask(bond(geometry, x, 0, 1) for x in range(geometry.L1)),
+        gf2.mask(bond(geometry, 0, y, 2) for y in range(geometry.L2)),
+    )
+    # Classify each dual cycle in the complement by its winding parities
+    # against the two Z reference loops; need the classes to span all of
+    # (1,0), (0,1), (1,1).
+    classes = []
+    for cycle in _cycles_within(rest, geometry.plaquette_supports):
+        w = ((cycle & zrefs[0]).bit_count() % 2) | (((cycle & zrefs[1]).bit_count() % 2) << 1)
+        if w:
+            classes.append(w)
+    return gf2.rank(classes) == 2
 
 
 @pytest.mark.parametrize("l1,l2", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 2)])
@@ -70,7 +108,7 @@ def test_each_spin_in_two_stars_and_two_plaquettes(l1, l2):
         # consequence: the XOR of all supports vanishes
         acc = 0
         for sup in supports:
-            acc ^= mask(sup)
+            acc ^= gf2.mask(sup)
         assert acc == 0
 
 
@@ -99,8 +137,8 @@ def test_loop_supports(l1, l2):
         assert len(w1 & set(p_sup)) % 2 == 0
         assert len(w2 & set(p_sup)) % 2 == 0
     # pairing against direct Z loops: odd with the conjugate direction only
-    z1 = {geo.horizontal_bond(x, 0) for x in range(l1)}
-    z2 = {geo.vertical_bond(0, y) for y in range(l2)}
+    z1 = {bond(geo, x, 0, 1) for x in range(l1)}
+    z2 = {bond(geo, 0, y, 2) for y in range(l2)}
     for z in (z1, z2):
         for s_sup in geo.star_supports:
             assert len(z & set(s_sup)) % 2 == 0
@@ -108,19 +146,25 @@ def test_loop_supports(l1, l2):
     assert len(w1 & z2) % 2 == 1
     assert len(w2 & z1) % 2 == 1
     assert len(w2 & z2) % 2 == 0
-    # and both winding families are flagged by the library
-    assert lattice.region_winds(geo, geo.loop1_support)
-    assert lattice.region_winds(geo, geo.loop2_support)
-    assert lattice.region_winds(geo, tuple(z1))
-    assert lattice.region_winds(geo, tuple(z2))
+    # and both winding families are flagged by the brute-force oracle
+    for loop in (geo.loop1_support, geo.loop2_support, tuple(z1), tuple(z2)):
+        assert oracle_winds(geo, loop)
 
 
 def test_bond_indexing_wraps(geo23):
-    assert geo23.horizontal_bond(-1, 0) == geo23.horizontal_bond(geo23.L1 - 1, 0)
-    assert geo23.vertical_bond(0, geo23.L2) == geo23.vertical_bond(0, 0)
-    assert geo23.site_index(1, 1) == 1 * geo23.L1 + 1
-    assert geo23.horizontal_bond(1, 1) == 2 * geo23.site_index(1, 1)
-    assert geo23.vertical_bond(1, 1) == 2 * geo23.site_index(1, 1) + 1
+    l1, l2 = geo23.L1, geo23.L2
+    assert bond(geo23, -1, 0, 1) == bond(geo23, l1 - 1, 0, 1)
+    assert bond(geo23, 0, l2, 2) == bond(geo23, 0, 0, 2)
+    assert bond(geo23, 1, 1, 1) == 2 * (1 * l1 + 1)
+    # supports follow the documented formula, wrapping at the edges
+    for y in range(l2):
+        for x in range(l1):
+            h = [bond(geo23, x, y, 1), bond(geo23, x - 1, y, 1), bond(geo23, x, y + 1, 1)]
+            v = [bond(geo23, x, y, 2), bond(geo23, x, y - 1, 2), bond(geo23, x + 1, y, 2)]
+            assert geo23.star_supports[y * l1 + x] == (h[0], h[1], v[0], v[1])
+            assert geo23.plaquette_supports[y * l1 + x] == (h[0], h[2], v[0], v[2])
+    assert geo23.loop1_support == tuple(bond(geo23, x, 0, 2) for x in range(l1))
+    assert geo23.loop2_support == tuple(bond(geo23, 0, y, 1) for y in range(l2))
 
 
 def test_build_lattice_rejects_degenerate_sizes():
@@ -163,34 +207,20 @@ def test_preset_regions_contractible_by_brute_force():
     for geo, part in all_preset_partitions():
         for region in part.regions:
             assert not oracle_winds(geo, region), (part.label, region)
-            assert not lattice.region_winds(geo, region), (part.label, region)
-
-
-def test_region_winds_agrees_with_oracle_on_random_regions(geo33):
-    rng = random.Random(61)
-    winding_seen = 0
-    for _ in range(30):
-        size = rng.randint(1, 7)
-        region = tuple(sorted(rng.sample(range(geo33.n_spins), size)))
-        expected = oracle_winds(geo33, region)
-        assert lattice.region_winds(geo33, region) == expected, region
-        winding_seen += expected
-    # the sample should exercise both outcomes
-    assert 0 < winding_seen < 30
 
 
 def test_preset_complements_deformable():
     for geo, part in all_preset_partitions():
         for region in part.regions:
-            assert lattice.complement_is_deformable(geo, region), (part.label, region)
+            assert complement_is_deformable(geo, region), (part.label, region)
 
 
 def test_deformability_negative_cases(geo22):
     # complement of (everything but one winding loop) is just that loop:
     # it only winds one direction, so loops cannot be deformed off the region
     big = tuple(s for s in range(geo22.n_spins) if s not in set(geo22.loop1_support))
-    assert not lattice.complement_is_deformable(geo22, big)
-    assert not lattice.complement_is_deformable(geo22, tuple(range(geo22.n_spins)))
+    assert not complement_is_deformable(geo22, big)
+    assert not complement_is_deformable(geo22, tuple(range(geo22.n_spins)))
 
 
 def test_partition_validation():

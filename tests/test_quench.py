@@ -127,10 +127,16 @@ def test_json_round_trip(tmp_path):
     report = quench.run_quench(small_config())
     path = tmp_path / "run.json"
     quench.emit(report, "json", path)
-    back = quench.report_from_json(path)
-    assert back == report
-    payload = json.loads(path.read_text())
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["metadata"] == report.metadata
     assert payload["metadata"]["config"]["h"] == 0.3
+    for key in ("times", "fidelity", "energy"):
+        assert payload[key] == list(getattr(report, key))
+    assert payload["entropy"] == {
+        str(a): {"alpha": a, **{s: [getattr(r, s) for r in reps] for s in ("s1", "s2", "s3", "s4")}}
+        for a, reps in report.entropy.items()
+    }
 
 
 def test_emit_unknown_format(tmp_path):
@@ -187,11 +193,12 @@ def test_verify_sector_mode():
     assert any("sector vs full evolution" in line for line in lines)
 
 
-def test_verify_flags_defective_partition():
+def test_verify_flags_defective_partition(monkeypatch):
     from toricsim import lattice
 
     bad = lattice.RegionPartition(regions=((0,), (1,), (2,), (3,)), label="bad")
-    ok, lines = quench.verify(small_config(), partition_override=bad)
+    monkeypatch.setattr(lattice, "build_partition", lambda geometry, preset: bad)
+    ok, lines = quench.verify(small_config())
     assert not ok
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1

@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from toricsim import ed, gf2, lattice, pauli, stabilizer
+from pauli_algebra import commutes, pauli_multiply
+from toricsim import ed, entanglement, gf2, lattice, pauli, stabilizer
 
 
 def star_masks(geo):
@@ -133,8 +134,8 @@ def test_stabilizer_expectations_are_one(geo22):
 
 def test_x_loop_expectation_vanishes(geo22):
     # the winding X loop maps one sector onto another, so it has no diagonal part
-    for d in (1, 2):
-        w = stabilizer.loop_operator(geo22, d)
+    for support in (geo22.loop1_support, geo22.loop2_support):
+        w = pauli.pauli_x(geo22.n_spins, support)
         for sector in SECTORS:
             state = stabilizer.ground_state(geo22, sector)
             assert abs(stabilizer.expectation(state, w)) < 1e-12
@@ -142,12 +143,9 @@ def test_x_loop_expectation_vanishes(geo22):
 
 def test_z_loop_expectations_label_sectors(geo22):
     # winding Z loops commute with everything and read out the sector bits
-    z1 = pauli.pauli_z(
-        geo22.n_spins, [geo22.horizontal_bond(x, 0) for x in range(geo22.L1)]
-    )
-    z2 = pauli.pauli_z(
-        geo22.n_spins, [geo22.vertical_bond(0, y) for y in range(geo22.L2)]
-    )
+    # a row of horizontal bonds 2*x and a column of vertical bonds 2*y*L1 + 1
+    z1 = pauli.pauli_z(geo22.n_spins, [2 * x for x in range(geo22.L1)])
+    z2 = pauli.pauli_z(geo22.n_spins, [2 * y * geo22.L1 + 1 for y in range(geo22.L2)])
     for w1, w2 in SECTORS:
         state = stabilizer.ground_state(geo22, (w1, w2))
         assert abs(stabilizer.expectation(state, z1) - (-1.0) ** w2) < 1e-12
@@ -157,17 +155,15 @@ def test_z_loop_expectations_label_sectors(geo22):
 def test_loop_operator_properties(geo33):
     masks = star_masks(geo33)
     span = spanset(masks)
-    for d in (1, 2):
-        w = stabilizer.loop_operator(geo33, d)
+    for support in (geo33.loop1_support, geo33.loop2_support):
+        w = pauli.pauli_x(geo33.n_spins, support)
         assert w.z_mask == 0 and w.phase_exp == 0
-        assert pauli.pauli_multiply(w, w) == pauli.identity(geo33.n_spins)
+        assert pauli_multiply(w, w) == pauli.PauliOperator(geo33.n_spins)
         for g in stabilizer.star_operators(geo33) + stabilizer.plaquette_operators(
             geo33
         ):
-            assert pauli.commutes(w, g)
+            assert commutes(w, g)
         assert w.x_mask not in span
-    with pytest.raises(ValueError):
-        stabilizer.loop_operator(geo33, 3)
 
 
 def test_ground_state_rejects_bad_sector(geo22):
@@ -241,7 +237,7 @@ def test_expectation_matches_apply_pauli_route(geo22, geo23):
 def test_expectation_dimension_mismatch(geo22):
     state = stabilizer.ground_state(geo22)
     with pytest.raises(ValueError):
-        stabilizer.expectation(state, pauli.identity(4))
+        stabilizer.expectation(state, pauli.PauliOperator(4))
 
 
 @pytest.mark.parametrize("sector", [(0, 0), (1, 1)])
@@ -280,13 +276,29 @@ def test_analytic_entropy_sector_independent(geo23):
         assert all(abs(v - ref) < 1e-10 for v in values)
 
 
-def test_analytic_entropy_errors(geo22):
-    with pytest.raises(ValueError):
-        stabilizer.analytic_region_entropy(geo22, ())
-    with pytest.raises(ValueError):
-        stabilizer.analytic_region_entropy(geo22, tuple(range(geo22.n_spins)))
-    with pytest.raises(ValueError):
-        stabilizer.analytic_region_entropy(geo22, (0, 99))
+@pytest.mark.parametrize(
+    "region,message",
+    [
+        ((3, 3, 8), "repeats a spin"),
+        ((0, 18), "out-of-range"),
+        ((-1, 4), "out-of-range"),
+        ((), "empty"),
+        (tuple(range(18)), "proper subset"),
+    ],
+)
+def test_group_rule_and_spectrum_reject_the_same_regions(geo33, region, message):
+    psi = stabilizer.ground_state(geo33)
+    with pytest.raises(ValueError, match=message):
+        stabilizer.analytic_region_entropy(geo33, region)
+    with pytest.raises(ValueError, match=message):
+        entanglement.region_spectrum(psi, region)
+    with pytest.raises(ValueError, match=message):
+        entanglement.reduce(psi, region)
+
+
+def test_check_region_sorts(geo33):
+    assert stabilizer.check_region((9, 3, 8), geo33.n_spins) == (3, 8, 9)
+    assert stabilizer.check_region(np.array([5, 0]), geo33.n_spins) == (0, 5)
 
 
 def test_state_vector_validation(geo22):
@@ -321,17 +333,20 @@ def test_save_load_round_trip(tmp_path, geo22):
     state = stabilizer.ground_state(geo22, (0, 1))
     path = tmp_path / "state.npz"
     stabilizer.save_state(path, state)
-    back = stabilizer.load_state(path)
-    assert back.basis == state.basis
-    assert np.array_equal(state.amplitudes, back.amplitudes)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["amplitudes", "n_spins"]
+        assert int(data["n_spins"]) == geo22.n_spins
+        assert np.array_equal(data["amplitudes"], state.amplitudes)
 
     basis = ed.build_sector(geo22)
     sec = basis.project(stabilizer.ground_state(geo22))
     spath = tmp_path / "sector.npz"
     stabilizer.save_state(spath, sec)
-    back = stabilizer.load_state(spath)
-    assert back.basis == sec.basis
-    assert np.array_equal(sec.amplitudes, back.amplitudes)
+    with np.load(spath) as data:
+        assert sorted(data.files) == ["amplitudes", "kept_indices", "n_spins"]
+        assert int(data["n_spins"]) == geo22.n_spins
+        assert np.array_equal(data["kept_indices"], basis.kept_indices)
+        assert np.array_equal(data["amplitudes"], sec.amplitudes)
 
 
 def test_full_bases_share_one_read_only_index_array():

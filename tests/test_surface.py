@@ -1,4 +1,4 @@
-"""Public surface: exported names exist and the benchmark's wrap targets resolve."""
+"""Public surface: exported names exist, have callers, and the benchmark's wrap targets resolve."""
 
 import ast
 import importlib
@@ -8,7 +8,15 @@ import pytest
 
 import toricsim
 
-WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKER = ROOT / "perfbench" / "worker.py"
+# The code that the exports serve: the package itself (the CLI included),
+# the benchmark and the acceptance gate. Other tests do not count.
+CALLERS = (
+    sorted((ROOT / "src" / "toricsim").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
+)
 
 
 def benchmark_targets():
@@ -37,3 +45,70 @@ def test_benchmark_targets_resolve():
         for part in path.split("."):
             owner = getattr(owner, part)
         assert callable(owner), span
+
+
+def _referenced(module, name, trees, targets):
+    """Whether ``module.name`` is used anywhere but in its own definition.
+
+    A use is ``module.name`` (also as ``pkg.module.name``), an import of
+    ``name`` from ``module``, a bare ``name`` in the module's own file
+    outside the statement that defines it, or a benchmark wrap target.
+    """
+    if any(m == module and path.split(".")[0] == name for m, path in targets.values()):
+        return True
+    for key, tree in trees.items():
+        own = key == module
+        skip = set()
+        if own:
+            for node in tree.body:
+                if getattr(node, "name", None) == name:
+                    skip = set(range(node.lineno, node.end_lineno + 1))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                value = node.value
+                owner = value.id if isinstance(value, ast.Name) else getattr(value, "attr", None)
+                if owner == module:
+                    return True
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[-1] == module and any(
+                    alias.name == name for alias in node.names
+                ):
+                    return True
+            elif own and isinstance(node, ast.Name) and node.id == name:
+                if node.lineno not in skip:
+                    return True
+    return False
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # Package files are keyed by module name, the rest by path.
+    trees = {
+        p.stem if p.parent.name == "toricsim" else str(p): ast.parse(p.read_text(encoding="utf-8"))
+        for p in CALLERS
+    }
+    targets = benchmark_targets()
+    unused = [
+        f"{module}.{name}"
+        for module in toricsim.__all__
+        for name in getattr(getattr(toricsim, module), "__all__", ())
+        if not _referenced(module, name, trees, targets)
+    ]
+    assert not unused, f"exported but only the tests use them: {unused}"
+
+
+def test_surface_guard_flags_a_name_only_tests_use():
+    src = """
+__all__ = ["used", "lonely", "recursive"]
+def used(): return 1
+def lonely(): return used()
+def recursive(n): return recursive(n - 1) if n else 0
+"""
+    trees = {"mod": ast.parse(src), "caller": ast.parse("from .mod import lonely\n")}
+    assert _referenced("mod", "used", trees, {})
+    assert _referenced("mod", "lonely", trees, {})
+    del trees["caller"]
+    assert not _referenced("mod", "lonely", trees, {})
+    assert not _referenced("mod", "recursive", trees, {})
+    assert _referenced("mod", "lonely", trees, {"span": ("mod", "lonely")})
+    trees["other"] = ast.parse("import mod\nmod.lonely()\n")
+    assert _referenced("mod", "lonely", trees, {})
