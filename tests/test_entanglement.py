@@ -283,6 +283,18 @@ def test_region_size_caps(geo33):
     assert report.s1 == report.s2 == report.s3 == report.s4 == 0.0
 
 
+def test_split_validation_errors():
+    state = product_state(4)
+    with pytest.raises(ValueError):
+        entanglement.reduce(state, ())
+    with pytest.raises(ValueError):
+        entanglement.reduce(state, (0, 1, 2, 3))
+    with pytest.raises(ValueError):
+        entanglement.reduce(state, (0, 9))
+    with pytest.raises(ValueError):
+        entanglement.reduce(state, (0, 0, 1))
+
+
 @pytest.mark.parametrize("sector", [False, True])
 def test_topological_entropy_of_complement_regions(geo33, sector):
     # The complements of the 3x3 levinwen-small regions hold 14 and 15 spins.

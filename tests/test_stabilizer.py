@@ -276,6 +276,15 @@ def test_analytic_entropy_sector_independent(geo23):
         assert all(abs(v - ref) < 1e-10 for v in values)
 
 
+def test_analytic_entropy_errors(geo22):
+    with pytest.raises(ValueError):
+        stabilizer.analytic_region_entropy(geo22, ())
+    with pytest.raises(ValueError):
+        stabilizer.analytic_region_entropy(geo22, tuple(range(geo22.n_spins)))
+    with pytest.raises(ValueError):
+        stabilizer.analytic_region_entropy(geo22, (0, 99))
+
+
 @pytest.mark.parametrize(
     "region,message",
     [
