@@ -1,7 +1,9 @@
 """Matrix-free Hamiltonian engine: assembly, spectra, and time evolution.
 
 Hamiltonians are lists of weighted Pauli strings applied term by term, so a
-matvec costs O(terms * dimension) with only vector-sized memory. The same
+matvec costs O(terms * dimension) with only vector-sized memory. Each term
+is applied as a gather, which relies on every Pauli string being an
+involution: it sends state k to state j exactly when it sends j to k. The same
 engine drives any ``stabilizer.Basis``: the full 2^N space, or the
 plaquette-constrained sector from ``build_sector``, whose basis states are
 enumerated explicitly. Within the dense cap H is block diagonal in its
@@ -105,7 +107,9 @@ class HamiltonianOperator:
 
     Diagonal terms are folded into one vector; every off-diagonal term keeps
     its precomputed target positions from ``Basis.pauli_action`` (plus
-    per-state signs when it carries a Z part). Terms with imaginary matrix
+    per-state signs when it carries a Z part). A Pauli string is an
+    involution, so ``perm[perm]`` is the identity and ``matvec`` reads each
+    term as the gather ``(signs * v)[perm]``. Terms with imaginary matrix
     elements (an odd number of Y factors) are refused, so every weight is a
     float. On a sector basis each term must map the sector to itself.
     """
@@ -147,10 +151,7 @@ class HamiltonianOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self._diag * v
         for weight, perm, signs in self._offdiag:
-            if signs is None:
-                out[perm] += weight * v
-            else:
-                out[perm] += weight * (signs * v)
+            out += weight * (v if signs is None else signs * v)[perm]
         return out
 
     def expectation(self, v: np.ndarray) -> float:
@@ -243,14 +244,6 @@ def full_spectrum(op: HamiltonianOperator) -> tuple[np.ndarray, np.ndarray]:
     return w[order], vecs[:, order]
 
 
-def _orthogonalize(w: np.ndarray, against: list[np.ndarray]) -> np.ndarray:
-    # Two Gram-Schmidt sweeps keep orthogonality near machine precision.
-    for _ in range(2):
-        for q in against:
-            w = w - np.vdot(q, w) * q
-    return w
-
-
 def _expm_krylov_step(
     matvec: Callable[[np.ndarray], np.ndarray],
     v: np.ndarray,
@@ -261,25 +254,28 @@ def _expm_krylov_step(
 
     The subspace grows until the estimate |beta_m u_m| of the weight leaking
     past it is within ``target`` (zero on happy breakdown), or to ``KRYLOV_DIM``.
+    Its vectors are the rows of one array; rows never reached are never
+    written, so memory follows the subspace actually built.
     """
-    basis_vecs = [v]
-    T = np.zeros((KRYLOV_DIM + 1, KRYLOV_DIM + 1))
+    Q = np.empty((KRYLOV_DIM, v.size), dtype=np.complex128)
+    Q[0] = v
+    T = np.zeros((KRYLOV_DIM, KRYLOV_DIM))
     for m in range(1, KRYLOV_DIM + 1):
-        w = matvec(basis_vecs[-1])
-        T[m - 1, m - 1] = np.vdot(basis_vecs[-1], w).real
-        w = _orthogonalize(w, basis_vecs)
+        w = matvec(Q[m - 1])
+        T[m - 1, m - 1] = np.vdot(Q[m - 1], w).real
+        # Two classical Gram-Schmidt passes keep orthogonality near machine
+        # precision. conj(Q @ conj(w)) gives the overlaps without copying Q.
+        for _ in range(2):
+            w -= np.conj(Q[:m] @ np.conj(w)) @ Q[:m]
         b = float(np.linalg.norm(w))
         evals, evecs = np.linalg.eigh(T[:m, :m])
         u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
         err = 0.0 if b <= 1e-14 else abs(b * u[-1])
-        if err <= target:
+        if err <= target or m == KRYLOV_DIM:
             break
         T[m, m - 1] = T[m - 1, m] = b
-        basis_vecs.append(w / b)
-    out = np.zeros_like(v)
-    for coef, q in zip(u, basis_vecs):
-        out += coef * q
-    return out, float(err)
+        Q[m] = w / b
+    return u @ Q[:m], float(err)
 
 
 def propagation(op: HamiltonianOperator) -> str:

@@ -258,10 +258,11 @@ def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     amps = state.amplitudes
     positions, signs, valid = state.basis.pauli_action(op)
     values = op.phase * (amps if signs is None else signs * amps)
+    # A Pauli string is an involution, and the states whose image stays in
+    # the basis are closed under it, so the image is a gather.
+    out = values[positions]
     if valid is not None:
-        positions, values = positions[valid], values[valid]
-    out = np.zeros_like(amps)
-    out[positions] = values
+        out[~valid] = 0
     return out
 
 
