@@ -145,12 +145,22 @@ class Basis:
         signs = None
         if op.z_mask:
             signs = np.where(np.bitwise_count(idx & op.z_mask) & 1, -1.0, 1.0)
-        target = idx ^ op.x_mask if op.x_mask else idx
-        if self.kept_indices is None:
-            return target, signs, None
-        pos = np.minimum(np.searchsorted(idx, target), idx.size - 1)
-        valid = idx[pos] == target
-        return pos, signs, None if valid.all() else valid
+        positions, valid = self._locate(idx ^ op.x_mask if op.x_mask else idx)
+        return positions, signs, valid
+
+    def _locate(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Position in this basis of each full-space index in ``configs``.
+
+        Returns ``(positions, found)``: ``found`` is None when the basis
+        holds every config; otherwise it marks those it holds, and
+        ``positions`` is meaningless elsewhere.
+        """
+        kept = self.kept_indices
+        if kept is None:
+            return configs, None
+        positions = np.minimum(np.searchsorted(kept, configs), kept.size - 1)
+        found = kept[positions] == configs
+        return positions, None if found.all() else found
 
     def split_positions(self, region: tuple[int, ...]) -> tuple[np.ndarray, int]:
         """Where each basis state sits in a (region x complement) matrix.
@@ -224,29 +234,47 @@ def plaquette_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
     return tuple(pauli_z(n, sup) for sup in geometry.plaquette_supports)
 
 
-def ground_state(geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0)) -> StateVector:
-    """Analytic ground state of one topological sector.
+def ground_state(
+    geometry: LatticeGeometry, sector: tuple[int, int] = (0, 0), basis: Basis | None = None
+) -> StateVector:
+    """Analytic ground state of one topological sector, on ``basis``.
 
     The state is the uniform superposition over the star-group orbit of the
     all-up configuration, shifted by the winding loops selected by
     ``sector = (w1, w2)``. All amplitudes on the orbit equal
     ``group_order**-0.5`` and the four sectors are orthonormal.
+
+    ``basis=None`` is the full 2^N space. A kept basis, such as the
+    plaquette sector from ``ed.build_sector``, must hold every orbit
+    configuration exactly; any other is refused with a ``ValueError``
+    before the amplitudes are allocated, and no 2^N array is formed.
     """
     w1, w2 = sector
     if w1 not in (0, 1) or w2 not in (0, 1):
         raise ValueError("sector labels must be bits")
-    check_dimension(geometry.n_spins, f"the {geometry.L1}x{geometry.L2} full space")
+    n = geometry.n_spins
+    if basis is None:
+        basis = Basis(n)
+    if basis.n_spins != n:
+        raise ValueError(f"basis runs over {basis.n_spins} spins, the lattice has {n}")
+    star_masks = [mask(sup) for sup in geometry.star_supports]
+    kept = basis.kept_indices
+    if kept is None:
+        check_dimension(n, f"the {geometry.L1}x{geometry.L2} full space")
+    elif 1 << rank(star_masks) > kept.size:
+        raise ValueError("basis is smaller than the star-group orbit")
     shift = 0
     if w1:
         shift ^= mask(geometry.loop1_support)
     if w2:
         shift ^= mask(geometry.loop2_support)
-    elements = span(mask(sup) for sup in geometry.star_supports)
-    amps = np.zeros(1 << geometry.n_spins, dtype=np.complex128)
-    amps[np.fromiter((e ^ shift for e in elements), dtype=np.int64)] = 1.0 / np.sqrt(
-        len(elements)
-    )
-    return StateVector(amps, Basis(geometry.n_spins))
+    elements = span(star_masks)
+    positions, found = basis._locate(np.fromiter((e ^ shift for e in elements), dtype=np.int64))
+    if found is not None:
+        raise ValueError("basis does not hold every configuration of the star-group orbit")
+    amps = np.zeros(basis.dimension, dtype=np.complex128)
+    amps[positions] = 1.0 / np.sqrt(len(elements))
+    return StateVector(amps, basis)
 
 
 def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:

@@ -68,6 +68,15 @@ def list_krylov_step(matvec, v, dt, target):
     return out, float(err)
 
 
+def project_out(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``w`` without its components along the orthonormal rows of ``Q``, in
+    place: two classical Gram-Schmidt passes of one matrix-vector product
+    pair each, as in ``ed._expm_krylov_step``."""
+    for _ in range(2):
+        w -= np.conj(Q @ np.conj(w)) @ Q
+    return w
+
+
 def lanczos_extremal(
     op, k: int, tol: float = 1e-10, max_iter: int = 300, seed: int = LANCZOS_SEED
 ) -> list[tuple[float, np.ndarray]]:
@@ -80,6 +89,10 @@ def lanczos_extremal(
     making results deterministic. Every returned pair satisfies
     ||H v - lambda v|| <= tol, checked on the vector itself.
 
+    The Lanczos vectors are the rows of one preallocated array, and so are
+    the converged ones; rows never reached are never written, so memory
+    follows the subspace actually built.
+
     Raises RuntimeError with the best achieved residual if any slot fails
     to converge within ``max_iter`` iterations.
     """
@@ -87,23 +100,24 @@ def lanczos_extremal(
     dim = op.dimension
     rng = np.random.default_rng(seed)
     found: list[tuple[float, np.ndarray]] = []
-    deflate: list[np.ndarray] = []
+    deflate = np.empty((k, dim), dtype=np.complex128)
+    Q = np.empty((min(dim, max_iter), dim), dtype=np.complex128)
     for slot in range(k):
+        D = deflate[: len(found)]
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v0 = orthogonalize(v0, deflate)
+        v0 = project_out(v0, D)
         nrm = float(np.linalg.norm(v0))
         if nrm < 1e-12:
             raise RuntimeError("start vector vanished after deflation")
-        basis_vecs = [v0 / nrm]
+        Q[0] = v0 / nrm
         alphas: list[float] = []
         betas: list[float] = []
         best_residual = np.inf
         converged = False
         for it in range(1, max_iter + 1):
-            w = matvec(basis_vecs[-1])
-            w = orthogonalize(w, deflate)
-            alphas.append(float(np.vdot(basis_vecs[-1], w).real))
-            w = orthogonalize(w, basis_vecs)
+            w = project_out(matvec(Q[it - 1]), D)
+            alphas.append(float(np.vdot(Q[it - 1], w).real))
+            w = project_out(w, Q[:it])
             b = float(np.linalg.norm(w))
             T = np.diag(alphas)
             if betas:
@@ -113,23 +127,21 @@ def lanczos_extremal(
             # The tridiagonal estimate is cheap; confirm on the Ritz vector
             # once it claims convergence (or nothing more can be gained).
             if abs(b * evecs[-1, 0]) <= 0.1 * tol or exhausted:
-                vec = np.zeros_like(basis_vecs[0])
-                for coef, q in zip(evecs[:, 0], basis_vecs):
-                    vec += coef * q
-                vec = orthogonalize(vec, deflate)
+                vec = project_out(evecs[:, 0] @ Q[:it], D)
                 vec /= np.linalg.norm(vec)
-                lam = float(np.vdot(vec, matvec(vec)).real)
-                true_res = float(np.linalg.norm(matvec(vec) - lam * vec))
+                hv = matvec(vec)
+                lam = float(np.vdot(vec, hv).real)
+                true_res = float(np.linalg.norm(hv - lam * vec))
                 best_residual = min(best_residual, true_res)
                 if true_res <= tol:
                     found.append((lam, vec))
-                    deflate.append(vec)
+                    deflate[len(found) - 1] = vec
                     converged = True
                     break
             if exhausted:
                 break
             betas.append(b)
-            basis_vecs.append(w / b)
+            Q[it] = w / b
         if not converged:
             raise RuntimeError(
                 f"Lanczos slot {slot} did not converge: best residual "

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from toricsim import quench
+from toricsim import cli, ed, entanglement, lattice, quench, stabilizer
+from toricsim.pauli import single
 
 
 def small_config(**overrides):
@@ -203,3 +205,100 @@ def test_verify_flags_defective_partition(monkeypatch):
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1
     assert "topological entropy" in fails[0]
+
+
+SECTORS = [(w1, w2) for w1 in (0, 1) for w2 in (0, 1)]
+
+
+@pytest.mark.parametrize("l1,l2", [(2, 2), (2, 3), (3, 3)])
+def test_verify_quantities_on_sector_states_match_full_space(l1, l2):
+    # verify runs its invariants on the sector states; the same calls on the
+    # full-space states are the oracle.
+    geo = lattice.build_lattice(l1, l2)
+    partition = lattice.build_partition(geo, "levinwen-small")
+    basis = ed.build_sector(geo)
+    native = {s: stabilizer.ground_state(geo, s, basis) for s in SECTORS}
+    full = {s: stabilizer.ground_state(geo, s) for s in SECTORS}
+    n = geo.n_spins
+    for s in SECTORS:
+        a, b = native[s], full[s]
+        assert abs(stabilizer.residual(geo, a) - stabilizer.residual(geo, b)) <= 1e-12
+        for op in (single(n, kind, j) for kind in "XYZ" for j in range(n)):
+            assert abs(stabilizer.expectation(a, op) - stabilizer.expectation(b, op)) <= 1e-12
+        for region in partition.regions:
+            spec_a = entanglement.region_spectrum(a, region)
+            spec_b = entanglement.region_spectrum(b, region)
+            assert spec_a.shape == spec_b.shape
+            assert np.max(np.abs(spec_a - spec_b)) <= 1e-12
+            rho_a = entanglement.reduce(a, region).entries
+            rho_b = entanglement.reduce(b, region).entries
+            assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
+        for alpha in (1.0, 2.0):
+            top_a = entanglement.topological_entropy(a, partition, alpha).s_top
+            top_b = entanglement.topological_entropy(b, partition, alpha).s_top
+            assert abs(top_a - top_b) <= 1e-12
+    gram_a = np.array([[np.vdot(native[x].amplitudes, native[y].amplitudes)
+                        for y in SECTORS] for x in SECTORS])
+    gram_b = np.array([[np.vdot(full[x].amplitudes, full[y].amplitudes)
+                        for y in SECTORS] for x in SECTORS])
+    assert np.max(np.abs(gram_a - gram_b)) <= 1e-12
+
+
+def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
+    # Every state handed to the Pauli and region kernels is a sector state,
+    # and nothing of 2^18 entries is allocated before the propagation check.
+    seen = []
+
+    def tripwire(module, name, state_arg):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, args[state_arg].basis.kept_indices is not None))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    tripwire(stabilizer, "apply_pauli", 1)
+    tripwire(stabilizer, "expectation", 0)
+    tripwire(entanglement, "reduce", 0)
+    tripwire(entanglement, "region_spectrum", 0)
+
+    peaks = []
+    build_hamiltonian = ed.build_hamiltonian
+
+    def first_build(*args, **kwargs):
+        if not peaks:  # the propagation check starts with the full operator
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        return build_hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(ed, "build_hamiltonian", first_build)
+    tracemalloc.start()
+    try:
+        ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
+    finally:
+        tracemalloc.stop()
+    assert ok, lines
+    assert {name for name, _ in seen} == {"apply_pauli", "expectation", "reduce",
+                                          "region_spectrum"}
+    assert all(on_sector for _, on_sector in seen)
+    # one complex 2^18 state is 4 MiB, its index array 2 MiB
+    assert peaks[0] < 1 << 20
+
+
+def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
+    ground_state = stabilizer.ground_state
+
+    def defective(geometry, sector=(0, 0), basis=None):
+        state = ground_state(geometry, sector, basis)
+        if tuple(sector) == (1, 1):
+            state.amplitudes[np.flatnonzero(state.amplitudes)[0]] *= -1
+        return state
+
+    monkeypatch.setattr(stabilizer, "ground_state", defective)
+    ok, lines = quench.verify(small_config())
+    assert not ok
+    assert next(ln for ln in lines if "stabilizer eigenvalues" in ln).startswith("FAIL")
+    assert cli.main(["verify", "--l1", "2", "--l2", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stabilizer eigenvalues" in out
+    assert out.endswith("verify: FAILURES above\n")

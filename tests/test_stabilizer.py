@@ -171,6 +171,61 @@ def test_ground_state_rejects_bad_sector(geo22):
         stabilizer.ground_state(geo22, (2, 0))
 
 
+@pytest.mark.parametrize("l1,l2", [(2, 2), (2, 3), (3, 3)])
+def test_sector_ground_state_is_the_full_state_restricted(l1, l2):
+    # The full-space construction is the oracle: the native state holds the
+    # same amplitudes, bit for bit, at the kept indices, and nothing else.
+    geo = lattice.build_lattice(l1, l2)
+    basis = ed.build_sector(geo)
+    for sector in SECTORS:
+        full = stabilizer.ground_state(geo, sector)
+        native = stabilizer.ground_state(geo, sector, basis)
+        assert native.basis == basis
+        assert np.array_equal(native.amplitudes, full.amplitudes[basis.kept_indices])
+        assert amps_dict(native) == amps_dict(full)
+        assert np.max(np.abs(native.amplitudes - basis.project(full).amplitudes)) <= 1e-16
+
+
+def test_ground_state_refuses_a_basis_without_the_orbit(geo22):
+    basis = ed.build_sector(geo22)
+    kept = basis.kept_indices
+    orbit = sorted(spanset(star_masks(geo22)))
+    missing = stabilizer.Basis(geo22.n_spins, kept[kept != orbit[5]])
+    with pytest.raises(ValueError, match="every configuration"):
+        stabilizer.ground_state(geo22, (0, 0), missing)
+    # the other sectors do not touch that configuration
+    stabilizer.ground_state(geo22, (1, 0), missing)
+    with pytest.raises(ValueError, match="smaller than"):
+        stabilizer.ground_state(geo22, (0, 0), stabilizer.Basis(geo22.n_spins, orbit[:-1]))
+    with pytest.raises(ValueError, match="spins"):
+        stabilizer.ground_state(geo22, (0, 0), stabilizer.Basis(geo22.n_spins + 1, kept))
+    # an explicit full basis is the default, cap included
+    full = stabilizer.ground_state(geo22, (1, 1), stabilizer.Basis(geo22.n_spins))
+    assert np.array_equal(full.amplitudes, stabilizer.ground_state(geo22, (1, 1)).amplitudes)
+    geo44 = lattice.build_lattice(4, 4)
+    with pytest.raises(ValueError, match="cap"):
+        stabilizer.ground_state(geo44, (0, 0), stabilizer.Basis(geo44.n_spins))
+
+
+def test_ground_state_4x4_on_the_sector():
+    # 32 spins: the full space (2^32) is above the cap, the sector is 2^17.
+    geo44 = lattice.build_lattice(4, 4)
+    basis = ed.build_sector(geo44)
+    assert basis.dimension == 1 << 17
+    psi = stabilizer.ground_state(geo44, (1, 0), basis)
+    assert np.count_nonzero(psi.amplitudes) == 1 << 15
+    assert stabilizer.residual(geo44, psi) == 0.0
+    region = (0, 1, 2)
+    s_spec = entanglement.renyi(entanglement.region_spectrum(psi, region), 1.0)
+    assert stabilizer.analytic_region_entropy(geo44, region) == 3.0
+    assert abs(s_spec - 3.0) < 1e-12
+    kept = basis.kept_indices
+    one_config = int(np.flatnonzero(psi.amplitudes)[0])
+    missing = stabilizer.Basis(geo44.n_spins, np.delete(kept, one_config))
+    with pytest.raises(ValueError, match="every configuration"):
+        stabilizer.ground_state(geo44, (1, 0), missing)
+
+
 def test_apply_pauli_full_matches_scalar(geo22):
     state = stabilizer.ground_state(geo22, (1, 1))
     rng = np.random.default_rng(67)
