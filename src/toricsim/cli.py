@@ -71,7 +71,6 @@ def _quench_config(args) -> "object":
         "alpha_list": getattr(args, "alpha", None),
         "partition_preset": getattr(args, "preset", None),
         "sector_restrict": getattr(args, "sector_restrict", None),
-        "output_path": getattr(args, "out", None),
     }
     for key, value in overrides.items():
         if value is not None:
@@ -120,10 +119,9 @@ def _cmd_quench(args) -> int:
 
     config = _quench_config(args)
     report = run_quench(config)
-    out = config.output_path
-    if out:
-        emit(report, args.format, out)
-        print(f"{len(report.times)} samples written to {out}")
+    if args.out:
+        emit(report, args.format, args.out)
+        print(f"{len(report.times)} samples written to {args.out}")
     else:
         last = report.times[-1] if report.times else 0.0
         print(f"{len(report.times)} samples up to t={last:g}; pass --out to save them")

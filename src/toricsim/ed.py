@@ -10,6 +10,7 @@ enumerated explicitly. Within the dense cap H is block diagonal in its
 Z-symmetries, and each block is eigendecomposed on first use: the 3x3
 quench state pays for 256 of the sector's 1024 states. Larger dimensions
 are propagated with an adaptive Krylov approximation of exp(-iHt).
+Only ``trajectory`` applies this cap rule; ``evolve`` runs the named method.
 """
 
 from __future__ import annotations
@@ -278,9 +279,9 @@ def _expm_krylov_step(
     return u @ Q[:m], float(err)
 
 
-def propagation(op: HamiltonianOperator) -> str:
-    """How ``op`` propagates: "spectrum" within the dense cap, else "krylov"."""
-    return "spectrum" if op.dimension <= FULL_SPECTRUM_CAP else "krylov"
+def propagation(dimension: int) -> str:
+    """Propagation on ``dimension`` states: "spectrum" within the dense cap, else "krylov"."""
+    return "spectrum" if dimension <= FULL_SPECTRUM_CAP else "krylov"
 
 
 def _spectral_samples(state: StateVector, op: HamiltonianOperator, times):
@@ -305,7 +306,7 @@ def trajectory(
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    if propagation(op) == "spectrum":
+    if propagation(op.dimension) == "spectrum":
         yield from _spectral_samples(state, op, times)
         return
     for step in np.diff(times, prepend=0.0):
@@ -318,26 +319,22 @@ def evolve(
     op: HamiltonianOperator,
     t: float,
     tol: float = 1e-10,
-    method: str = "auto",
+    *,
+    method: str,
 ) -> StateVector:
     """Propagate a state to exp(-iHt)|state>.
 
     ``method`` is "spectrum" (block eigendecompositions, cached on the
-    operator), "krylov" (adaptive substepping, subspaces of at most
-    ``KRYLOV_DIM`` vectors), or "auto" (spectrum when the dimension is
-    within the dense cap).
+    operator) or "krylov" (adaptive substepping, subspaces of at most
+    ``KRYLOV_DIM`` vectors); ``trajectory`` picks between them by the cap.
     Unitarity is inherited, not enforced: no renormalization happens.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    if method == "auto":
-        method = propagation(op)
     if method == "spectrum":
         return next(_spectral_samples(state, op, (t,)))
     if method != "krylov":
         raise ValueError(f"unknown method {method!r}")
-    if t == 0.0:
-        return state.copy()
     v = state.amplitudes.copy()
     remaining = abs(t)
     sign = 1.0 if t >= 0 else -1.0
@@ -345,20 +342,17 @@ def evolve(
     budget = tol / max(1.0, remaining)
     steps = 0
     while remaining > 1e-15:
+        steps += 1
+        if steps > 10000:
+            raise RuntimeError("Krylov propagation exceeded the step limit")
         dt = min(dt, remaining)
         # The subspace stops where a step would grow dt, so growing stays reachable.
         out, err = _expm_krylov_step(op.matvec, v, sign * dt, 0.01 * budget * dt)
         if err > budget * dt and dt > 1e-12:
             dt *= 0.5
-            steps += 1
-            if steps > 10000:
-                raise RuntimeError("Krylov step control failed to converge")
             continue
         v = out
         remaining -= dt
         if err < 0.01 * budget * dt:
             dt *= 1.5
-        steps += 1
-        if steps > 10000:
-            raise RuntimeError("Krylov propagation exceeded the step limit")
     return StateVector(v, state.basis)

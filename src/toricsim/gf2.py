@@ -95,20 +95,8 @@ def kernel_basis(vectors: Sequence[int]) -> list[int]:
         kernel of the combination map, so every vanishing combination is
         an XOR of returned masks.
     """
-    # Eliminate with an augmented identity: rows that cancel to zero keep
-    # a record of which inputs combined to produce them.
-    rows: list[tuple[int, int]] = []  # (reduced vector, combination mask)
-    kernel: list[int] = []
-    for i, v in enumerate(vectors):
-        combo = 1 << i
-        for rv, rc in rows:
-            nxt = v ^ rv
-            if nxt < v:
-                v = nxt
-                combo ^= rc
-        if v:
-            rows.append((v, combo))
-            rows.sort(key=lambda rc: rc[0], reverse=True)
-        else:
-            kernel.append(combo)
-    return kernel
+    # Reduce each vector with its combination mask below it: the rows left with
+    # no vector part have distinct leading mask bits, and they span the kernel.
+    k = len(vectors)
+    rows = row_reduce((v << k) | (1 << i) for i, v in enumerate(vectors))
+    return [r for r in rows if r >> k == 0]

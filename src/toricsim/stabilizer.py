@@ -220,9 +220,6 @@ class StateVector:
     def n_spins(self) -> int:
         return self.basis.n_spins
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.basis)
-
 
 def star_operators(geometry: LatticeGeometry) -> tuple[PauliOperator, ...]:
     n = geometry.n_spins

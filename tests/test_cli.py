@@ -123,13 +123,27 @@ def test_quench_rejects_unknown_preset(capsys):
     assert "nope" in capsys.readouterr().err
 
 
-def test_physics_failure_exits_one(tmp_path, capsys):
-    cfg = {"L1": 2, "L2": 2, "tolerances": {"norm_drift": -1.0}}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(cfg))
-    code = cli.main(["quench", "--config", str(path), "--t-max", "1.0", "--dt", "0.5"])
+def test_physics_failure_exits_one(monkeypatch, tmp_path, capsys):
+    # No config can loosen or tighten a run's tolerances; a check that
+    # fails in the library still ends the CLI with exit 1.
+    monkeypatch.setattr(quench, "NORM_DRIFT_TOL", -1.0)
+    out = tmp_path / "run.csv"
+    code = cli.main(
+        ["quench", "--l1", "2", "--l2", "2", "--t-max", "1.0", "--dt", "0.5", "--out", str(out)]
+    )
     assert code == 1
-    assert "check failed" in capsys.readouterr().err
+    assert "check failed: norm drifted" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quench_json_is_independent_of_the_output_path(tmp_path):
+    args = ["quench", "--l1", "2", "--l2", "2", "--t-max", "1.0", "--dt", "0.5",
+            "--format", "json"]
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(args + ["--out", str(p1)]) == 0
+    assert cli.main(args + ["--out", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
+    assert str(p1) not in p1.read_text()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -179,9 +193,17 @@ def test_config_file_errors(tmp_path, capsys):
         '{"L1": 2, "L2": 2, "tolerances": {"energy_drfit": 1}}',
         '{"L1": 2, "L2": 2, "t_max": 0.5, "dt": 0.5, "output_path": true}',
         '{"L1": 2, "L2": 2, "t_max": 0.5, "dt": 0.5, "output_path": 3}',
+        # run tolerances are fixed and quench writes only to --out
+        '{"L1": 2, "L2": 2, "tolerances": {"energy_drift": 1e-6}}',
+        '{"L1": 2, "L2": 2, "t_max": 0.5, "dt": 0.5, "output_path": "o.csv"}',
+        '{"L1": 2, "L2": 2, "partition_preset": []}',
+        '{"L1": 2, "L2": 2, "sector_restrict": "no"}',
+        '{"L1": 2, "L2": 2, "sector_restrict": 1}',
+        '{"L1": 2, "L2": 2, "t_max": 1e300, "dt": 1e-300}',
     ],
 )
-def test_bad_config_values_are_config_errors(tmp_path, capfd, text):
+def test_bad_config_values_are_config_errors(tmp_path, monkeypatch, capfd, text):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.json"
     path.write_text(text)
     argv = ["quench", "--config", str(path)]
@@ -194,6 +216,17 @@ def test_bad_config_values_are_config_errors(tmp_path, capfd, text):
     assert "Traceback" not in err
     assert out == ""
     assert not (tmp_path / "o.csv").exists()
+
+
+def test_sweep_infinite_window_is_config_error(tmp_path, capfd):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--l1", "2", "--l2", "2", "--beta-grid", "0.5", "--window", "0", "inf",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    _, err = capfd.readouterr()
+    assert "configuration error: time grid exceeds" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_lattice_size_required(capsys):

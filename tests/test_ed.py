@@ -478,8 +478,8 @@ def test_sector_evolution_matches_full(geo22):
     full0 = stabilizer.ground_state(geo22)
     sec0 = basis.project(full0)
     t = 1.7
-    full_t = ed.evolve(full0, full_op, t)
-    sec_t = ed.evolve(sec0, sec_op, t)
+    full_t = ed.evolve(full0, full_op, t, method="spectrum")
+    sec_t = ed.evolve(sec0, sec_op, t, method="spectrum")
     assert np.max(np.abs(full_t.amplitudes[basis.kept_indices] - sec_t.amplitudes)) < 1e-9
 
 
@@ -490,7 +490,7 @@ def test_trajectory_spectral_branch_equals_evolve(geo22, sector):
     psi0 = stabilizer.ground_state(geo22)
     if sector:
         psi0 = basis.project(psi0)
-    assert ed.propagation(op) == "spectrum"
+    assert ed.propagation(op.dimension) == "spectrum"
     times = [0.25 * k for k in range(21)]
     count = 0
     for t, state in zip(times, ed.trajectory(psi0, op, times)):
@@ -515,8 +515,8 @@ def test_trajectory_krylov_branch_at_strong_field(geo22, monkeypatch, kwargs):
     rng = np.random.default_rng(29)
     noise = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     noise /= np.linalg.norm(noise)
-    monkeypatch.setattr(ed, "propagation", lambda op: "krylov")
-    assert ed.propagation(op) == "krylov"
+    monkeypatch.setattr(ed, "propagation", lambda dimension: "krylov")
+    assert ed.propagation(op.dimension) == "krylov"
     times = [2.5 * k for k in range(41)]
     for psi0 in (stabilizer.ground_state(geo22), stabilizer.StateVector(noise, op.basis)):
         e0 = op.expectation(psi0.amplitudes)
@@ -568,16 +568,23 @@ def test_winding_loops_commute_with_bare_hamiltonian(geo22):
 def test_evolve_errors(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22))
     state = stabilizer.ground_state(geo22)
-    with pytest.raises(ValueError, match="method"):
-        ed.evolve(state, op, 1.0, method="cayley")
+    for method in ("cayley", "auto"):
+        with pytest.raises(ValueError, match="method"):
+            ed.evolve(state, op, 1.0, method=method)
+    # the method is a required keyword: only trajectory picks one by the cap
+    with pytest.raises(TypeError, match="method"):
+        ed.evolve(state, op, 1.0)
+    with pytest.raises(TypeError):
+        ed.evolve(state, op, 1.0, 1e-10, "krylov")
     small = ed.build_hamiltonian(ed.HamiltonianSpec(geo22), ed.build_sector(geo22))
-    with pytest.raises(ValueError):
-        ed.evolve(state, small, 1.0)
+    for method in ("spectrum", "krylov"):
+        with pytest.raises(ValueError, match="bases"):
+            ed.evolve(state, small, 1.0, method=method)
     # same dimension as the sector, but a different set of basis states
     foreign = stabilizer.Basis(geo22.n_spins, np.arange(small.dimension))
     amps = np.full(small.dimension, small.dimension**-0.5)
     with pytest.raises(ValueError, match="bases"):
-        ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)
+        ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0, method="spectrum")
 
 
 # (L1, L2, sector basis, couplings, block count, block size), all at h = 9
@@ -704,7 +711,7 @@ def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
     assert sizes == [size]
     # the state's block is the star orbit: every amplitude outside it stays 0
     (positions, _, _), = op.eigensystem(psi0.amplitudes)
-    state = ed.evolve(psi0, op, 3.0)
+    state = ed.evolve(psi0, op, 3.0, method="spectrum")
     outside = np.ones(op.dimension, dtype=bool)
     outside[positions] = False
     assert np.all(state.amplitudes[outside] == 0.0)
@@ -714,7 +721,7 @@ def test_krylov_operator_builds_no_blocks(geo22, monkeypatch):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3))
     assert op._blocks is None and not op._eig
     monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 100)
-    assert ed.propagation(op) == "krylov"
+    assert ed.propagation(op.dimension) == "krylov"
     list(ed.trajectory(stabilizer.ground_state(geo22), op, [0.0, 0.5]))
     assert op._blocks is None and not op._eig
     with pytest.raises(ValueError, match="cap"):

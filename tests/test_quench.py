@@ -30,27 +30,30 @@ def test_config_validation():
         small_config(alpha_list=(1.0, -2.0))
     with pytest.raises(ValueError):
         small_config(field_mode="split_HV", sector_restrict=True)
+    for bad in ({"partition_preset": []}, {"sector_restrict": "no"}, {"sector_restrict": 1}):
+        with pytest.raises(ValueError):
+            small_config(**bad)
+    # the run tolerances are module constants and the output path a CLI flag
+    for gone in ({"tolerances": {"energy_drift": 1e-6}}, {"output_path": "run.csv"}):
+        with pytest.raises(TypeError):
+            small_config(**gone)
     cfg = small_config(alpha_list=[1, 2])
     assert cfg.alpha_list == (1.0, 2.0)
-    assert cfg.tolerance("energy_drift") == 1e-8
-    assert small_config(tolerances={"energy_drift": 1e-6}).tolerance("energy_drift") == 1e-6
 
 
 def test_config_is_hashable_and_immutable():
     assert hash(quench.QuenchConfig(L1=2, L2=2)) == hash(quench.QuenchConfig(L1=2, L2=2))
-    cfg = small_config(t_max=0.5, tolerances={"norm_drift": 1e-9, "energy_drift": 1e-7})
-    assert cfg == small_config(t_max=0.5, tolerances={"energy_drift": 1e-7, "norm_drift": 1e-9})
+    cfg = small_config(t_max=0.5, alpha_list=[2, 1])
+    assert cfg == small_config(t_max=0.5, alpha_list=(2.0, 1.0))
     assert len({cfg, small_config(t_max=0.5)}) == 2
     with pytest.raises(TypeError):
-        cfg.tolerances["norm_drift"] = "x"
+        cfg.alpha_list[0] = 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.tolerances = {"norm_drift": "x"}
-    assert cfg.tolerance("norm_drift") == 1e-9
+        cfg.h = 0.5
     moved = dataclasses.replace(cfg, h=0.5)
-    assert moved.tolerances == cfg.tolerances
-    assert moved.tolerance("energy_drift") == 1e-7
+    assert moved.alpha_list == cfg.alpha_list and moved.h == 0.5
     echo = quench.run_quench(cfg).metadata["config"]
-    assert echo["tolerances"] == {"energy_drift": 1e-7, "norm_drift": 1e-9}
+    assert sorted(echo) == sorted(f.name for f in dataclasses.fields(quench.QuenchConfig))
     assert quench.QuenchConfig(**echo) == cfg
 
 
@@ -91,11 +94,25 @@ def test_sector_run_matches_full_run():
         assert abs(ra.s_top - rb.s_top) < 1e-9
 
 
-def test_conservation_failure_raises():
-    with pytest.raises(RuntimeError, match="norm drifted"):
-        quench.run_quench(small_config(tolerances={"norm_drift": -1.0}))
-    with pytest.raises(RuntimeError, match="energy drifted"):
-        quench.run_quench(small_config(tolerances={"energy_drift": 0.0}))
+def test_conservation_failure_raises(monkeypatch):
+    quench.run_quench(small_config())
+    checks = {
+        "NORM_DRIFT_TOL": "norm drifted",
+        "INITIAL_FIDELITY_TOL": "initial fidelity",
+        "ENERGY_DRIFT_TOL": "energy drifted",
+    }
+    for name, message in checks.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(quench, name, -1.0)
+            with pytest.raises(RuntimeError, match=message):
+                quench.run_quench(small_config())
+
+
+def test_time_grid_sample_cap():
+    assert len(quench._time_grid(quench.MAX_SAMPLES - 1.0, 1.0)) == quench.MAX_SAMPLES
+    for t_max, dt in ((float(quench.MAX_SAMPLES), 1.0), (1e300, 1e-300), (float("inf"), 1.0)):
+        with pytest.raises(ValueError, match="time grid exceeds"):
+            quench._time_grid(t_max, dt)
 
 
 def test_config_echo_reproduces_run():
@@ -283,6 +300,24 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
     assert all(on_sector for _, on_sector in seen)
     # one complex 2^18 state is 4 MiB, its index array 2 MiB
     assert peaks[0] < 1 << 20
+
+
+def test_verify_skips_the_3x3_full_space_check_before_building_it(monkeypatch):
+    # Above the dense cap the full-space cross-check is skipped: no operator
+    # on the 2^18 states is built only to read its dimension.
+    dims = []
+    init = ed.HamiltonianOperator.__init__
+
+    def recording(self, terms, basis):
+        dims.append(basis.dimension)
+        init(self, terms, basis)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "__init__", recording)
+    ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3))
+    assert ok, lines
+    assert dims == []
+    assert lines[-1] == "SKIP Krylov vs exact propagation: dimension above dense cap"
+    assert sum(line.startswith("PASS") for line in lines) == 7
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
