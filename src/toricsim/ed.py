@@ -6,15 +6,18 @@ is applied as a gather, which relies on every Pauli string being an
 involution: it sends state k to state j exactly when it sends j to k. The same
 engine drives any ``stabilizer.Basis``: the full 2^N space, or the
 plaquette-constrained sector from ``build_sector``, whose basis states are
-enumerated explicitly. Within the dense cap H is block diagonal in its
-Z-symmetries, and each block is eigendecomposed on first use: the 3x3
-quench state pays for 256 of the sector's 1024 states. Larger dimensions
-are propagated with an adaptive Krylov approximation of exp(-iHt).
+enumerated explicitly. H is block diagonal in its Z-symmetries, and a state
+is propagated only in the blocks it touches: a block within the dense cap
+through its eigendecomposition, taken on first use, and a larger one through
+an adaptive Krylov approximation of exp(-iHt) on its own operator. The 3x3
+quench state touches 256 of the sector's 1024 states, and 32,768 of the
+2^18 full-space states under the ``split_HV`` field.
 Only ``trajectory`` applies this cap rule; ``evolve`` runs the named method.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -142,7 +145,6 @@ class HamiltonianOperator:
             offdiag.append((weight, perm, signs))
         self._diag = diag
         self._offdiag = offdiag
-        self._blocks: list[np.ndarray] | None = None
         self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -168,57 +170,82 @@ class HamiltonianOperator:
         columns = [sum((x >> s & 1) << t for t, x in enumerate(flips)) for s in range(n)]
         return kernel_basis(columns)
 
-    def blocks(self) -> list[np.ndarray]:
-        """Ascending basis positions of each block, computed on first use.
+    def blocks(self, amplitudes: np.ndarray | None = None) -> list[np.ndarray]:
+        """Ascending basis positions of every block, or of each block ``amplitudes`` touches.
 
         A block holds the basis states with equal parities under every
-        symmetry, so every term maps a block into itself.
+        symmetry, so every term maps a block into itself. A block is touched
+        where ``amplitudes`` is nonzero; only the touched blocks are
+        gathered, so a state in one of the 1024 blocks of the 3x3 full space
+        costs one block, not 1024. Blocks come in ascending order of their
+        parities, the first symmetry's most significant.
         """
-        if self._blocks is None:
-            idx = self.basis._indices()
-            labels = np.zeros(self.dimension, dtype=np.int64)
-            for z in self.symmetries():
-                # Compacting after each parity keeps the labels below the dimension.
-                parity = np.bitwise_count(idx & z) & 1
-                labels = np.unique(2 * labels + parity, return_inverse=True)[1]
-            self._blocks = [np.flatnonzero(labels == k) for k in range(labels.max() + 1)]
-        return self._blocks
+        idx = self.basis._indices()
+        labels = np.zeros(self.dimension, dtype=np.int64)
+        for z in self.symmetries():
+            labels = 2 * labels + (np.bitwise_count(idx & z) & 1)
+        positions = np.arange(self.dimension)
+        if amplitudes is not None:
+            positions = np.flatnonzero(np.isin(labels, labels[amplitudes != 0]))
+        positions = positions[np.argsort(labels[positions], kind="stable")]
+        return np.split(positions, np.flatnonzero(np.diff(labels[positions])) + 1)
+
+    def restrict(self, positions: np.ndarray) -> "HamiltonianOperator":
+        """The operator on a block, over the basis of that block's states.
+
+        ``positions`` must be ascending and a set that every term maps into
+        itself, such as a block. The parent's term arrays are sliced, not
+        rebuilt; the whole basis gives the operator itself.
+        """
+        if positions.size == self.dimension:
+            return self
+        local = np.empty(self.dimension, dtype=np.int64)
+        local[positions] = np.arange(positions.size)
+        block = copy.copy(self)
+        block.basis = Basis(self.basis.n_spins, self.basis._indices()[positions])
+        block._diag = self._diag[positions]
+        block._offdiag = [
+            (weight, local[perm[positions]], None if signs is None else signs[positions])
+            for weight, perm, signs in self._offdiag
+        ]
+        block._eig = {}
+        return block
 
     def dense(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Dense matrix, or its restriction to a set of basis positions.
+        """Dense matrix, or its restriction to a block's basis positions.
 
-        ``positions`` must be a set that every term maps into itself, such
-        as a block; rows and columns follow its order.
+        ``positions`` must be valid for ``restrict``; rows and columns
+        follow its order.
         """
-        if positions is None:
-            positions = np.arange(self.dimension)
-        cols = np.arange(positions.size)
-        local = np.empty(self.dimension, dtype=np.int64)
-        local[positions] = cols
-        mat = np.diag(self._diag[positions])
+        if positions is not None:
+            return self.restrict(positions).dense()
+        cols = np.arange(self.dimension)
+        mat = np.diag(self._diag)
         for weight, perm, signs in self._offdiag:
-            vals = weight if signs is None else weight * signs[positions]
-            mat[local[perm[positions]], cols] += vals
+            mat[perm, cols] += weight if signs is None else weight * signs
         return mat
 
-    def eigensystem(self, amplitudes: np.ndarray | None = None) -> list[tuple[np.ndarray, ...]]:
-        """``(positions, w, vecs)`` of every block, or of those ``amplitudes`` touches.
+    def eigensystem(
+        self, blocks: Sequence[np.ndarray] | None = None
+    ) -> list[tuple[np.ndarray, ...]]:
+        """``(positions, w, vecs)`` of each of ``blocks``, by default of every block.
 
         Each block gets one real ``eigh``, cached on first use, its vectors
-        stored complex. A block is touched where ``amplitudes`` is nonzero.
-        Refuses an operator above the dense cap.
+        stored complex. A block above the dense cap is refused before any
+        ``eigh`` runs.
         """
+        blocks = self.blocks() if blocks is None else blocks
         cap = FULL_SPECTRUM_CAP
-        if self.dimension > cap:
-            raise ValueError(f"dimension {self.dimension} exceeds the dense cap {cap}")
+        for positions in blocks:
+            if positions.size > cap:
+                raise ValueError(f"block of {positions.size} states exceeds the dense cap {cap}")
         out = []
-        for b, positions in enumerate(self.blocks()):
-            if amplitudes is not None and not amplitudes[positions].any():
-                continue
-            if b not in self._eig:
+        for positions in blocks:
+            key = int(positions[0])  # blocks are disjoint, so a first state names one
+            if key not in self._eig:
                 w, vecs = np.linalg.eigh(self.dense(positions))
-                self._eig[b] = (w, vecs.astype(np.complex128))
-            out.append((positions, *self._eig[b]))
+                self._eig[key] = (w, vecs.astype(np.complex128))
+            out.append((positions, *self._eig[key]))
         return out
 
 
@@ -235,7 +262,13 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
 
 
 def full_spectrum(op: HamiltonianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Complete eigendecomposition (ascending), merged from every block."""
+    """Complete eigendecomposition (ascending), merged from every block.
+
+    The merged eigenvectors form one dense matrix, so an operator above
+    the dense cap is refused.
+    """
+    if op.dimension > FULL_SPECTRUM_CAP:
+        raise ValueError(f"dimension {op.dimension} exceeds the dense cap {FULL_SPECTRUM_CAP}")
     w = np.empty(op.dimension)
     vecs = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
     for positions, wb, vb in op.eigensystem():
@@ -280,19 +313,36 @@ def _expm_krylov_step(
 
 
 def propagation(dimension: int) -> str:
-    """Propagation on ``dimension`` states: "spectrum" within the dense cap, else "krylov"."""
+    """Propagation of a block of ``dimension`` states: "spectrum" within the
+    dense cap, else "krylov"."""
     return "spectrum" if dimension <= FULL_SPECTRUM_CAP else "krylov"
 
 
-def _spectral_samples(state: StateVector, op: HamiltonianOperator, times):
-    amps = state.amplitudes
-    blocks = op.eigensystem(amps)
-    coefs = [vecs.conj().T @ amps[positions] for positions, _, vecs in blocks]
+def _spectral_samples(op: HamiltonianOperator, positions: np.ndarray, amps: np.ndarray, times):
+    """A block's slice ``amps`` of the state, propagated to each time through its eigenbasis."""
+    ((_, w, vecs),) = op.eigensystem([positions])
+    coef = vecs.conj().T @ amps
     for t in times:
-        out = np.zeros_like(amps)
-        for (positions, w, vecs), coef in zip(blocks, coefs):
-            out[positions] = vecs @ (coef * np.exp(-1j * w * t))
-        yield StateVector(out, state.basis)
+        yield vecs @ (coef * np.exp(-1j * w * t))
+
+
+def _block_samples(op: HamiltonianOperator, positions: np.ndarray, amps: np.ndarray, times):
+    """A block's slice ``amps`` of the state at each time, by the cap rule.
+
+    Above the cap the Krylov propagator of ``evolve`` steps the slice from
+    one sample to the next on the block's own operator. A slice of a state
+    that touches several blocks is not normalized, so it is stepped as
+    ``amps / |amps|`` and scaled back.
+    """
+    if propagation(positions.size) == "spectrum":
+        yield from _spectral_samples(op, positions, amps, times)
+        return
+    norm = float(np.linalg.norm(amps))
+    block = op.restrict(positions)
+    state = StateVector(amps / norm, block.basis)
+    for step in np.diff(times, prepend=0.0):
+        state = evolve(state, block, step, method="krylov")
+        yield norm * state.amplitudes
 
 
 def trajectory(
@@ -300,18 +350,21 @@ def trajectory(
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Within the dense cap each sample comes from the eigenbasis coefficients
-    of the blocks the state touches, computed once; above it the Krylov
-    propagator of ``evolve`` steps from one sample to the next.
+    Only the blocks the state touches are propagated, each by
+    ``propagation`` of its own size: within the dense cap from its
+    eigenbasis coefficients, computed once; above it by Krylov steps from
+    one sample to the next on the block's operator. Each sample is
+    scattered back into the operator's basis.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    if propagation(op.dimension) == "spectrum":
-        yield from _spectral_samples(state, op, times)
-        return
-    for step in np.diff(times, prepend=0.0):
-        state = evolve(state, op, step, method="krylov")
-        yield state
+    amps = state.amplitudes
+    streams = [(p, _block_samples(op, p, amps[p], times)) for p in op.blocks(amps)]
+    for _ in times:
+        out = np.zeros_like(amps)
+        for positions, samples in streams:
+            out[positions] = next(samples)
+        yield StateVector(out, state.basis)
 
 
 def evolve(
@@ -324,15 +377,21 @@ def evolve(
 ) -> StateVector:
     """Propagate a state to exp(-iHt)|state>.
 
-    ``method`` is "spectrum" (block eigendecompositions, cached on the
-    operator) or "krylov" (adaptive substepping, subspaces of at most
-    ``KRYLOV_DIM`` vectors); ``trajectory`` picks between them by the cap.
-    Unitarity is inherited, not enforced: no renormalization happens.
+    ``method`` is "spectrum" (eigendecompositions of the blocks the state
+    touches, cached on the operator; a block above the dense cap is
+    refused) or "krylov" (adaptive substepping on the whole basis,
+    subspaces of at most ``KRYLOV_DIM`` vectors); ``trajectory`` picks
+    between them per block by the cap. Unitarity is inherited, not
+    enforced: no renormalization happens.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
     if method == "spectrum":
-        return next(_spectral_samples(state, op, (t,)))
+        amps = state.amplitudes
+        out = np.zeros_like(amps)
+        for positions in op.blocks(amps):
+            out[positions] = next(_spectral_samples(op, positions, amps[positions], (t,)))
+        return StateVector(out, state.basis)
     if method != "krylov":
         raise ValueError(f"unknown method {method!r}")
     v = state.amplitudes.copy()

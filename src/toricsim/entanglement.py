@@ -111,13 +111,13 @@ def region_spectrum(state: StateVector, region) -> np.ndarray:
 def renyi(spectrum: np.ndarray, alpha: float) -> float:
     """Renyi entropy of an entanglement spectrum, in bits.
 
-    alpha = 1 is the von Neumann entropy with 0*log(0) = 0; other positive
-    alpha use (1/(1-alpha)) log2 sum(lambda^alpha). Eigenvalues below the
-    rank cutoff are treated as exact zeros, which also absorbs the tiny
-    negatives dense eigensolvers produce.
+    alpha = 1 is the von Neumann entropy with 0*log(0) = 0; other finite
+    positive alpha use (1/(1-alpha)) log2 sum(lambda^alpha). Eigenvalues
+    below the rank cutoff are treated as exact zeros, which also absorbs the
+    tiny negatives dense eigensolvers produce.
     """
-    if alpha <= 0:
-        raise ValueError("Renyi index must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"Renyi index must be positive and finite, got {alpha!r}")
     spectrum = np.asarray(spectrum, dtype=float)
     lam = spectrum[spectrum > RANK_CUTOFF * max(spectrum.max(initial=0.0), 0.0)]
     if lam.size == 0:

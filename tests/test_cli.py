@@ -278,6 +278,15 @@ def test_entropy_unknown_preset(capsys):
     assert "levinwen-small" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_entropy_non_finite_alpha_is_config_error(alpha, capsys):
+    args = ["entropy", "--l1", "2", "--l2", "2", "--alpha", f"1,{alpha}"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Renyi index must be positive and finite" in captured.err
+
+
 def test_thread_configuration(monkeypatch):
     for var in cli._THREAD_VARS:
         monkeypatch.delenv(var, raising=False)

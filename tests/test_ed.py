@@ -1,5 +1,7 @@
 """Hamiltonian assembly, diagonalization, and propagation cross-checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -678,8 +680,8 @@ def test_block_trajectory_matches_complex_oracle_to_t100(name):
     rng = np.random.default_rng(37)
     amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    assert len(op.eigensystem(psi0.amplitudes)) == 1
-    assert len(op.eigensystem(noise.amplitudes)) == len(op.blocks())
+    assert len(op.blocks(psi0.amplitudes)) == 1
+    assert len(op.blocks(noise.amplitudes)) == len(op.blocks())
     times = [12.5 * k for k in range(9)]
     for psi in (psi0, noise):
         coef = v_ref.conj().T @ psi.amplitudes
@@ -688,12 +690,14 @@ def test_block_trajectory_matches_complex_oracle_to_t100(name):
             assert np.max(np.abs(state.amplitudes - want)) < 1e-10
 
 
-@pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z"])
+@pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z", "3x3-full-uniform_z"])
 def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
-    if name == "2x3-full-uniform_z":  # the largest quench of criterion 7
-        geo = lattice.build_lattice(2, 3)
+    if name in ("2x3-full-uniform_z", "3x3-full-uniform_z"):
+        # the largest quench of criterion 7, and the 2^18 full space of 1024 blocks
+        l1, size = (2, 32) if name.startswith("2x3") else (3, 256)
+        geo = lattice.build_lattice(l1, 3)
         op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=0.3))
-        psi0, size = stabilizer.ground_state(geo), 32
+        psi0 = stabilizer.ground_state(geo)
     else:
         op, psi0 = block_case(name)
         size = BLOCK_CASES[name][-1]
@@ -710,23 +714,93 @@ def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
     ed.evolve(psi0, op, 2.0, method="spectrum")
     assert sizes == [size]
     # the state's block is the star orbit: every amplitude outside it stays 0
-    (positions, _, _), = op.eigensystem(psi0.amplitudes)
+    (positions,) = op.blocks(psi0.amplitudes)
+    assert ed.propagation(positions.size) == "spectrum"
     state = ed.evolve(psi0, op, 3.0, method="spectrum")
     outside = np.ones(op.dimension, dtype=bool)
     outside[positions] = False
     assert np.all(state.amplitudes[outside] == 0.0)
 
 
-def test_krylov_operator_builds_no_blocks(geo22, monkeypatch):
-    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.3))
-    assert op._blocks is None and not op._eig
-    monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 100)
-    assert ed.propagation(op.dimension) == "krylov"
-    list(ed.trajectory(stabilizer.ground_state(geo22), op, [0.0, 0.5]))
-    assert op._blocks is None and not op._eig
-    with pytest.raises(ValueError, match="cap"):
-        op.eigensystem()
-    assert op._blocks is None
+@pytest.fixture(scope="module")
+def krylov_quench_33():
+    """The 3x3 full-space ``split_HV`` quench: 8 blocks of 32,768 states."""
+    geo = lattice.build_lattice(3, 3)
+    spec = ed.HamiltonianSpec(geo, h=0.3, kappa=1.0, field_mode="split_HV")
+    return ed.build_hamiltonian(spec), stabilizer.ground_state(geo)
+
+
+def test_krylov_run_gathers_only_the_touched_block(krylov_quench_33, monkeypatch):
+    op, psi0 = krylov_quench_33
+    gathered = []
+    blocks = ed.HamiltonianOperator.blocks
+
+    def recording(self, amplitudes=None):
+        found = blocks(self, amplitudes)
+        gathered.append((amplitudes is None, [p.size for p in found]))
+        return found
+
+    restricted = []
+    restrict = ed.HamiltonianOperator.restrict
+
+    def recording_restrict(self, positions):
+        restricted.append(positions.size)
+        return restrict(self, positions)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "blocks", recording)
+    monkeypatch.setattr(ed.HamiltonianOperator, "restrict", recording_restrict)
+    states = list(ed.trajectory(psi0, op, [0.0, 0.1, 0.2]))
+    assert len(states) == 3 and all(s.amplitudes.size == 1 << 18 for s in states)
+    # one block of the 8 is found and gathered, none is labelled beyond it,
+    # and the Krylov block takes no spectrum
+    assert gathered == [(False, [32768])]
+    assert restricted == [32768]
+    assert not op._eig
+    for chosen in (op.blocks(psi0.amplitudes), None):
+        with pytest.raises(ValueError, match="block of 32768 states exceeds the dense cap"):
+            op.eigensystem(chosen)
+    with pytest.raises(ValueError, match="dense cap"):
+        ed.evolve(psi0, op, 0.1, method="spectrum")
+    assert not op._eig
+
+
+def test_block_krylov_matches_whole_basis_krylov_on_3x3(krylov_quench_33):
+    # The touched block's operator against whole-basis Krylov on 2^18 states.
+    op, psi0 = krylov_quench_33
+    times = [0.0, 0.1, 0.2]
+    for t, state in zip(times, ed.trajectory(psi0, op, times)):
+        want = ed.evolve(psi0, op, t, method="krylov")
+        assert np.linalg.norm(state.amplitudes - want.amplitudes) < 1e-10
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"field_mode": "split_HV", "kappa": 1.0}, {"field_mode": "uniform_z"}]
+)
+def test_multi_block_noise_state_at_strong_field(monkeypatch, kwargs):
+    # A seeded random state touches every block of the 2x3 full space (8 of
+    # 512 states under split_HV, 128 of 32 under uniform_z). A rule that sends
+    # every other block to Krylov mixes both routes in one trajectory; each
+    # Krylov block steps a slice of norm well below 1.
+    geo = lattice.build_lattice(2, 3)
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=9.0, **kwargs))
+    rng = np.random.default_rng(71)
+    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
+    n_blocks = len(op.blocks(noise.amplitudes))
+    assert n_blocks == len(op.blocks()) > 1
+    routes = itertools.cycle(["krylov", "spectrum"])
+    monkeypatch.setattr(ed, "propagation", lambda dimension: next(routes))
+    times = [0.0, 1.25, 2.5]
+    e0 = op.expectation(noise.amplitudes)
+    states = list(ed.trajectory(noise, op, times))
+    assert len(op._eig) == n_blocks // 2
+    for t, state in zip(times, states):
+        exact = ed.evolve(noise, op, t, method="spectrum")
+        assert np.linalg.norm(state.amplitudes - exact.amplitudes) < 1e-9
+        assert abs(op.expectation(state.amplitudes) - e0) < 1e-8
+    whole = ed.evolve(noise, op, times[-1], method="krylov")
+    assert np.linalg.norm(states[-1].amplitudes - whole.amplitudes) < 1e-9
 
 
 def matvec_case(name):

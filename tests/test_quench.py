@@ -199,6 +199,29 @@ def test_long_time_average_small_beta_stays_topological():
     assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
 
 
+def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
+    # Under uniform_z the 3x3 quench state touches one block of 256 of the
+    # 2^18 full-space states, so the run is spectral and the sweep reports
+    # the eigenbasis mean. Fewer long-time samples keep the sweep short.
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(mat):
+        sizes.append(mat.shape[0])
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    report = quench.run_quench(quench.QuenchConfig(L1=3, L2=3, h=0.1, t_max=0.2))
+    assert report.metadata["basis_dimension"] == 1 << 18
+    assert report.metadata["propagation"] == "spectrum"
+    assert sizes == [256]
+    monkeypatch.setattr(quench, "_EIG_SAMPLES", 4)
+    config = quench.QuenchConfig(L1=3, L2=3, dt=0.5)
+    (row,) = quench.long_time_average(config, [0.05], (5.0, 10.0))
+    assert row.eigenbasis_mean_s_top is not None
+    assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
+
+
 def test_verify_passes_on_shipped_configs():
     ok, lines = quench.verify(small_config())
     assert ok
@@ -210,6 +233,23 @@ def test_verify_sector_mode():
     ok, lines = quench.verify(small_config(sector_restrict=True))
     assert ok
     assert any("sector vs full evolution" in line for line in lines)
+
+
+def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
+    # The sector side steps Krylov on 1024 states; the full side goes through
+    # the block rule, which takes the spectrum of the one touched block.
+    calls = []
+    evolve = ed.evolve
+
+    def recording(state, op, t, tol=1e-10, *, method):
+        calls.append((method, state.basis.kept_indices is not None))
+        return evolve(state, op, t, tol, method=method)
+
+    monkeypatch.setattr(ed, "evolve", recording)
+    ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
+    assert ok, lines
+    assert calls == [("krylov", True)]
+    assert lines[-1].startswith("PASS sector vs full evolution")
 
 
 def test_verify_flags_defective_partition(monkeypatch):
