@@ -86,6 +86,7 @@ def _quench_config(args) -> "object":
 def _cmd_ground(args) -> int:
     from . import ed, lattice, stabilizer
 
+    stabilizer.check_dimension(2 * args.l1 * args.l2, f"the {args.l1}x{args.l2} full space")
     geo = lattice.build_lattice(args.l1, args.l2)
     psi = stabilizer.ground_state(geo, _parse_sector(args.sector))
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geometry=geo))
@@ -152,6 +153,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_entropy(args) -> int:
     from . import entanglement, lattice, stabilizer
 
+    stabilizer.check_dimension(2 * args.l1 * args.l2, f"the {args.l1}x{args.l2} full space")
     geo = lattice.build_lattice(args.l1, args.l2)
     partition = lattice.build_partition(geo, args.preset)
     psi = stabilizer.ground_state(geo, _parse_sector(args.sector))

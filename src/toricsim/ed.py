@@ -115,10 +115,13 @@ class HamiltonianOperator:
     involution, so ``perm[perm]`` is the identity and ``matvec`` reads each
     term as the gather ``(signs * v)[perm]``. Terms with imaginary matrix
     elements (an odd number of Y factors) are refused, so every weight is a
-    float. On a sector basis each term must map the sector to itself.
+    float. On a sector basis each term must map the sector to itself; a
+    full basis above ``2^stabilizer.BASIS_CAP_BITS`` states is refused first.
     """
 
     def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
+        if basis.kept_indices is None:
+            check_dimension(basis.n_spins, f"the full space of {basis.n_spins} spins")
         self.basis = basis
         self.terms = tuple((float(c), op) for c, op in terms)
         diag = np.zeros(basis.dimension)
@@ -211,14 +214,8 @@ class HamiltonianOperator:
         block._eig = {}
         return block
 
-    def dense(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Dense matrix, or its restriction to a block's basis positions.
-
-        ``positions`` must be valid for ``restrict``; rows and columns
-        follow its order.
-        """
-        if positions is not None:
-            return self.restrict(positions).dense()
+    def dense(self) -> np.ndarray:
+        """Dense matrix over the operator's basis."""
         cols = np.arange(self.dimension)
         mat = np.diag(self._diag)
         for weight, perm, signs in self._offdiag:
@@ -243,7 +240,7 @@ class HamiltonianOperator:
         for positions in blocks:
             key = int(positions[0])  # blocks are disjoint, so a first state names one
             if key not in self._eig:
-                w, vecs = np.linalg.eigh(self.dense(positions))
+                w, vecs = np.linalg.eigh(self.restrict(positions).dense())
                 self._eig[key] = (w, vecs.astype(np.complex128))
             out.append((positions, *self._eig[key]))
         return out

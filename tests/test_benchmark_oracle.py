@@ -35,3 +35,17 @@ def test_krylov_workload_quench_passes_the_reference_check(tmp_path, monkeypatch
     out = tmp_path / "quench.csv"
     assert cli.main(w.argv(str(out))) == 0
     assert run.reference.check_quench(w, out.read_text(encoding="utf-8")) == []
+
+
+def test_verify_workload_passes_the_reference_check(monkeypatch, capsys):
+    # The benchmark counts verify's PASS lines; a change to that count
+    # shows here first.
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    w = run.draw("verify-sector-3x3", 7)
+    assert w.command == "verify" and w.sector
+    assert cli.main(w.argv("")) == 0
+    assert run.reference.check_verify(w, capsys.readouterr().out) == []

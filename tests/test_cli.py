@@ -53,6 +53,46 @@ def test_ground_refuses_oversized_lattice_before_allocating(size, capsys):
     assert "configuration error" in err and "cap" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ground"],
+    ["entropy"],
+    ["verify"],
+    ["verify", "--sector-restrict"],
+    ["quench", "--t-max", "0"],
+    ["sweep", "--beta-grid", "0.5"],
+])
+def test_oversize_lattice_is_refused_before_it_is_built(argv, monkeypatch, capsys):
+    # The lattice build is linear in sites: 10^10 sites would never finish.
+    from toricsim import lattice
+
+    def unreachable(L1, L2):
+        raise AssertionError("lattice built before the cap check")
+
+    monkeypatch.setattr(lattice, "build_lattice", unreachable)
+    start = time.monotonic()
+    code = cli.main([*argv, "--l1", "100000", "--l2", "100000"])
+    assert code == 2
+    assert time.monotonic() - start < 1.0
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "cap" in err
+
+
+def test_repeated_renyi_index_is_config_error(tmp_path, capsys):
+    # Reports are keyed by index, so a repeat would fill one key twice.
+    with pytest.raises(ValueError, match="repeat"):
+        quench.QuenchConfig(L1=2, L2=2, alpha_list=(1, 1.0))
+    out = tmp_path / "q.csv"
+    argv = ["quench", "--l1", "2", "--l2", "2", "--h", "0.5", "--t-max", "1", "--dt", "0.5",
+            "--out", str(out)]
+    assert cli.main([*argv, "--alpha", "1,1"]) == 2
+    assert "Renyi indices must not repeat" in capsys.readouterr().err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha_list": [2, 1, 2.0]}))
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert "Renyi indices must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["ground", "--l1", "2"])
@@ -200,6 +240,7 @@ def test_config_file_errors(tmp_path, capsys):
         '{"L1": 2, "L2": 2, "sector_restrict": "no"}',
         '{"L1": 2, "L2": 2, "sector_restrict": 1}',
         '{"L1": 2, "L2": 2, "t_max": 1e300, "dt": 1e-300}',
+        '{"L1": 2, "L2": 2, "alpha_list": [1, 1.0]}',
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, monkeypatch, capfd, text):

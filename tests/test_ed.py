@@ -1,6 +1,7 @@
 """Hamiltonian assembly, diagonalization, and propagation cross-checks."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ def test_lanczos_nonconvergence_raises(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.37))
     with pytest.raises(RuntimeError, match="did not converge"):
         lanczos_extremal(op, k=1, tol=1e-14, max_iter=2)
+
+
+def test_build_hamiltonian_refuses_a_full_space_above_the_cap():
+    # 4x4 has 2^32 states: the diagonal alone would be 32 GiB.
+    spec = ed.HamiltonianSpec(lattice.build_lattice(4, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap"):
+            ed.build_hamiltonian(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # the 2^17-state sector of the same lattice is within it
+    assert ed.build_hamiltonian(spec, ed.build_sector(spec.geometry)).dimension == 1 << 17
 
 
 def test_full_spectrum_cap(geo22, monkeypatch):
@@ -627,7 +643,7 @@ def test_blocks_come_from_commuting_z_strings(name):
     mat = op.dense()
     assert np.all(mat[label[:, None] != label[None, :]] == 0.0)
     for positions in blocks:
-        assert np.array_equal(op.dense(positions), mat[np.ix_(positions, positions)])
+        assert np.array_equal(op.restrict(positions).dense(), mat[np.ix_(positions, positions)])
 
 
 def signed_flip_operator():
@@ -652,7 +668,7 @@ def test_blocks_of_signed_flip_terms():
     assert np.array_equal(mat, np.column_stack(columns).real)
     assert [b.size for b in op.blocks()] == [8, 8, 8, 8]
     for positions in op.blocks():
-        assert np.array_equal(op.dense(positions), mat[np.ix_(positions, positions)])
+        assert np.array_equal(op.restrict(positions).dense(), mat[np.ix_(positions, positions)])
     w, _ = ed.full_spectrum(op)
     assert np.max(np.abs(w - np.linalg.eigvalsh(mat))) < 1e-12
 

@@ -41,6 +41,16 @@ def test_config_validation():
     assert cfg.alpha_list == (1.0, 2.0)
 
 
+def test_config_refuses_a_basis_above_the_cap():
+    # 2^20 states is the cap: 3x3 full (2^18) and 4x4 sector (2^17) pass.
+    quench.QuenchConfig(L1=3, L2=3)
+    quench.QuenchConfig(L1=4, L2=4, sector_restrict=True)
+    with pytest.raises(ValueError, match="4x4 full space has 2\\^32"):
+        quench.QuenchConfig(L1=4, L2=4)
+    with pytest.raises(ValueError, match="5x4 plaquette sector has 2\\^21"):
+        quench.QuenchConfig(L1=5, L2=4, sector_restrict=True)
+
+
 def test_config_is_hashable_and_immutable():
     assert hash(quench.QuenchConfig(L1=2, L2=2)) == hash(quench.QuenchConfig(L1=2, L2=2))
     cfg = small_config(t_max=0.5, alpha_list=[2, 1])
@@ -230,26 +240,59 @@ def test_verify_passes_on_shipped_configs():
 
 
 def test_verify_sector_mode():
-    ok, lines = quench.verify(small_config(sector_restrict=True))
-    assert ok
-    assert any("sector vs full evolution" in line for line in lines)
+    for l1, l2 in ((2, 2), (2, 3)):
+        ok, lines = quench.verify(small_config(L1=l1, L2=l2, sector_restrict=True))
+        assert ok, lines
+        assert all(line.startswith("PASS") for line in lines) and len(lines) == 8
+        assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
-def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
-    # The sector side steps Krylov on 1024 states; the full side goes through
-    # the block rule, which takes the spectrum of the one touched block.
+def recording_evolve(monkeypatch):
+    """Record (method, dimension) of every ``ed.evolve`` call."""
     calls = []
     evolve = ed.evolve
 
     def recording(state, op, t, tol=1e-10, *, method):
-        calls.append((method, state.basis.kept_indices is not None))
+        calls.append((method, op.dimension))
         return evolve(state, op, t, tol, method=method)
 
     monkeypatch.setattr(ed, "evolve", recording)
+    return calls
+
+
+def recording_operators(monkeypatch):
+    """Record the basis dimension of every ``HamiltonianOperator`` built."""
+    dims = []
+    init = ed.HamiltonianOperator.__init__
+
+    def recording(self, terms, basis):
+        dims.append(basis.dimension)
+        init(self, terms, basis)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "__init__", recording)
+    return dims
+
+
+def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
+    # Only the run's own 1024-state sector operator is built. Krylov steps
+    # the whole sector; the trajectory takes the spectrum of the one
+    # touched 256-state block.
+    calls = recording_evolve(monkeypatch)
+    dims = recording_operators(monkeypatch)
+    blocks = []
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def recording(self, positions=None):
+        blocks.append([p.size for p in positions])
+        return eigensystem(self, positions)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
-    assert calls == [("krylov", True)]
-    assert lines[-1].startswith("PASS sector vs full evolution")
+    assert dims == [1024]
+    assert calls == [("krylov", 1024)]
+    assert blocks == [[256]]
+    assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
 def test_verify_flags_defective_partition(monkeypatch):
@@ -324,7 +367,7 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
     build_hamiltonian = ed.build_hamiltonian
 
     def first_build(*args, **kwargs):
-        if not peaks:  # the propagation check starts with the full operator
+        if not peaks:  # the propagation check starts with the operator
             peaks.append(tracemalloc.get_traced_memory()[1])
         return build_hamiltonian(*args, **kwargs)
 
@@ -332,32 +375,57 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
     tracemalloc.start()
     try:
         ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
     assert ok, lines
     assert {name for name, _ in seen} == {"apply_pauli", "expectation", "reduce",
                                           "region_spectrum"}
     assert all(on_sector for _, on_sector in seen)
-    # one complex 2^18 state is 4 MiB, its index array 2 MiB
+    # one complex 2^18 state is 4 MiB, its index array 2 MiB; the
+    # propagation check on the sector adds a 30-vector Krylov basis (0.5 MiB)
     assert peaks[0] < 1 << 20
+    assert peaks[1] < 4 << 20
 
 
-def test_verify_skips_the_3x3_full_space_check_before_building_it(monkeypatch):
-    # Above the dense cap the full-space cross-check is skipped: no operator
-    # on the 2^18 states is built only to read its dimension.
-    dims = []
-    init = ed.HamiltonianOperator.__init__
-
-    def recording(self, terms, basis):
-        dims.append(basis.dimension)
-        init(self, terms, basis)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "__init__", recording)
-    ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3))
+@pytest.mark.parametrize("l1,l2,field,block_krylov", [
+    (2, 3, {}, []),
+    (3, 3, {}, []),
+    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, [("krylov", 32768)]),
+], ids=["2x3-uniform_z", "3x3-uniform_z", "3x3-split_HV"])
+def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field, block_krylov):
+    # A full-space config checks its own 2^N operator against Krylov on the
+    # whole basis, above the dense cap too. Under split_HV the touched block
+    # is above the cap as well, so the trajectory steps it by Krylov.
+    calls = recording_evolve(monkeypatch)
+    dims = recording_operators(monkeypatch)
+    ok, lines = quench.verify(quench.QuenchConfig(L1=l1, L2=l2, h=0.1, **field))
     assert ok, lines
-    assert dims == []
-    assert lines[-1] == "SKIP Krylov vs exact propagation: dimension above dense cap"
-    assert sum(line.startswith("PASS") for line in lines) == 7
+    assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
+    assert lines[-1].startswith("PASS block vs whole-basis propagation")
+    assert dims == [1 << 2 * l1 * l2]
+    assert calls == [*block_krylov, ("krylov", 1 << 2 * l1 * l2)]
+
+
+@pytest.mark.parametrize("config", [
+    quench.QuenchConfig(L1=2, L2=2, h=0.3),
+    quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True),
+], ids=["2x2-full", "3x3-sector"])
+def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
+    # Eigenphases off by 1e-7 to 2e-7 are seen by the propagation check
+    # and by no other.
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def perturbed(self, blocks=None):
+        return [(p, w + 1e-7 * np.linspace(1.0, 2.0, w.size), v)
+                for p, w, v in eigensystem(self, blocks)]
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", perturbed)
+    ok, lines = quench.verify(config)
+    assert not ok
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and len(lines) == 8
+    assert fails[0].startswith("FAIL block vs whole-basis propagation")
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
