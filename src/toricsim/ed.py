@@ -8,11 +8,12 @@ engine drives any ``stabilizer.Basis``: the full 2^N space, or the
 plaquette-constrained sector from ``build_sector``, whose basis states are
 enumerated explicitly. H is block diagonal in its Z-symmetries, and a state
 is propagated only in the blocks it touches: a block within the dense cap
-through its eigendecomposition, taken on first use, and a larger one through
-an adaptive Krylov approximation of exp(-iHt) on its own operator. The 3x3
-quench state touches 256 of the sector's 1024 states, and 32,768 of the
-2^18 full-space states under the ``split_HV`` field.
-Only ``trajectory`` applies this cap rule; ``evolve`` runs the named method.
+through its eigendecomposition, taken once per ``trajectory`` call, and a
+larger one through an adaptive Krylov approximation of exp(-iHt) on its own
+operator. The 3x3 quench state touches 256 of the sector's 1024 states, and
+32,768 of the 2^18 full-space states under the ``split_HV`` field.
+Only ``trajectory`` applies this cap rule; ``evolve`` is Krylov on the
+whole basis.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "HamiltonianOperator",
     "build_hamiltonian",
     "build_sector",
-    "full_spectrum",
     "evolve",
     "propagation",
     "trajectory",
@@ -148,7 +148,6 @@ class HamiltonianOperator:
             offdiag.append((weight, perm, signs))
         self._diag = diag
         self._offdiag = offdiag
-        self._eig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dimension(self) -> int:
@@ -211,7 +210,6 @@ class HamiltonianOperator:
             (weight, local[perm[positions]], None if signs is None else signs[positions])
             for weight, perm, signs in self._offdiag
         ]
-        block._eig = {}
         return block
 
     def dense(self) -> np.ndarray:
@@ -222,28 +220,18 @@ class HamiltonianOperator:
             mat[perm, cols] += weight if signs is None else weight * signs
         return mat
 
-    def eigensystem(
-        self, blocks: Sequence[np.ndarray] | None = None
-    ) -> list[tuple[np.ndarray, ...]]:
-        """``(positions, w, vecs)`` of each of ``blocks``, by default of every block.
+    def eigensystem(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, vecs)`` of the block at ``positions``, from one real ``eigh``.
 
-        Each block gets one real ``eigh``, cached on first use, its vectors
-        stored complex. A block above the dense cap is refused before any
-        ``eigh`` runs.
+        The vectors are stored complex, like the states they act on. A block
+        above the dense cap is refused before the ``eigh`` runs.
         """
-        blocks = self.blocks() if blocks is None else blocks
-        cap = FULL_SPECTRUM_CAP
-        for positions in blocks:
-            if positions.size > cap:
-                raise ValueError(f"block of {positions.size} states exceeds the dense cap {cap}")
-        out = []
-        for positions in blocks:
-            key = int(positions[0])  # blocks are disjoint, so a first state names one
-            if key not in self._eig:
-                w, vecs = np.linalg.eigh(self.restrict(positions).dense())
-                self._eig[key] = (w, vecs.astype(np.complex128))
-            out.append((positions, *self._eig[key]))
-        return out
+        if positions.size > FULL_SPECTRUM_CAP:
+            raise ValueError(
+                f"block of {positions.size} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
+            )
+        w, vecs = np.linalg.eigh(self.restrict(positions).dense())
+        return w, vecs.astype(np.complex128)
 
 
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
@@ -256,23 +244,6 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     if basis is None:
         basis = Basis(spec.geometry.n_spins)
     return HamiltonianOperator(spec.term_list(), basis)
-
-
-def full_spectrum(op: HamiltonianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Complete eigendecomposition (ascending), merged from every block.
-
-    The merged eigenvectors form one dense matrix, so an operator above
-    the dense cap is refused.
-    """
-    if op.dimension > FULL_SPECTRUM_CAP:
-        raise ValueError(f"dimension {op.dimension} exceeds the dense cap {FULL_SPECTRUM_CAP}")
-    w = np.empty(op.dimension)
-    vecs = np.zeros((op.dimension, op.dimension), dtype=np.complex128)
-    for positions, wb, vb in op.eigensystem():
-        w[positions] = wb
-        vecs[np.ix_(positions, positions)] = vb
-    order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
 
 
 def _expm_krylov_step(
@@ -315,30 +286,26 @@ def propagation(dimension: int) -> str:
     return "spectrum" if dimension <= FULL_SPECTRUM_CAP else "krylov"
 
 
-def _spectral_samples(op: HamiltonianOperator, positions: np.ndarray, amps: np.ndarray, times):
-    """A block's slice ``amps`` of the state, propagated to each time through its eigenbasis."""
-    ((_, w, vecs),) = op.eigensystem([positions])
-    coef = vecs.conj().T @ amps
-    for t in times:
-        yield vecs @ (coef * np.exp(-1j * w * t))
-
-
 def _block_samples(op: HamiltonianOperator, positions: np.ndarray, amps: np.ndarray, times):
     """A block's slice ``amps`` of the state at each time, by the cap rule.
 
-    Above the cap the Krylov propagator of ``evolve`` steps the slice from
-    one sample to the next on the block's own operator. A slice of a state
-    that touches several blocks is not normalized, so it is stepped as
-    ``amps / |amps|`` and scaled back.
+    Within the cap the slice is projected once on the block's eigenbasis and
+    each sample is built from the eigenphases. Above it ``evolve`` steps the
+    slice from one sample to the next on the block's own operator. A slice
+    of a state that touches several blocks is not normalized, so it is
+    stepped as ``amps / |amps|`` and scaled back.
     """
     if propagation(positions.size) == "spectrum":
-        yield from _spectral_samples(op, positions, amps, times)
+        w, vecs = op.eigensystem(positions)
+        coef = vecs.conj().T @ amps
+        for t in times:
+            yield vecs @ (coef * np.exp(-1j * w * t))
         return
     norm = float(np.linalg.norm(amps))
     block = op.restrict(positions)
     state = StateVector(amps / norm, block.basis)
     for step in np.diff(times, prepend=0.0):
-        state = evolve(state, block, step, method="krylov")
+        state = evolve(state, block, step)
         yield norm * state.amplitudes
 
 
@@ -349,9 +316,9 @@ def trajectory(
 
     Only the blocks the state touches are propagated, each by
     ``propagation`` of its own size: within the dense cap from its
-    eigenbasis coefficients, computed once; above it by Krylov steps from
-    one sample to the next on the block's operator. Each sample is
-    scattered back into the operator's basis.
+    eigenbasis coefficients, one ``eigh`` per block and call; above it by
+    Krylov steps from one sample to the next on the block's operator. Each
+    sample is scattered back into the operator's basis.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
@@ -365,32 +332,17 @@ def trajectory(
 
 
 def evolve(
-    state: StateVector,
-    op: HamiltonianOperator,
-    t: float,
-    tol: float = 1e-10,
-    *,
-    method: str,
+    state: StateVector, op: HamiltonianOperator, t: float, tol: float = 1e-10
 ) -> StateVector:
-    """Propagate a state to exp(-iHt)|state>.
+    """Propagate a state to exp(-iHt)|state> by Krylov steps on the whole basis.
 
-    ``method`` is "spectrum" (eigendecompositions of the blocks the state
-    touches, cached on the operator; a block above the dense cap is
-    refused) or "krylov" (adaptive substepping on the whole basis,
-    subspaces of at most ``KRYLOV_DIM`` vectors); ``trajectory`` picks
-    between them per block by the cap. Unitarity is inherited, not
-    enforced: no renormalization happens.
+    Substeps are adaptive, with subspaces of at most ``KRYLOV_DIM`` vectors,
+    and the whole propagation is held to ``tol``. ``trajectory`` calls it
+    on a block's own operator above the dense cap. Unitarity is inherited,
+    not enforced: no renormalization happens.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    if method == "spectrum":
-        amps = state.amplitudes
-        out = np.zeros_like(amps)
-        for positions in op.blocks(amps):
-            out[positions] = next(_spectral_samples(op, positions, amps[positions], (t,)))
-        return StateVector(out, state.basis)
-    if method != "krylov":
-        raise ValueError(f"unknown method {method!r}")
     v = state.amplitudes.copy()
     remaining = abs(t)
     sign = 1.0 if t >= 0 else -1.0

@@ -22,7 +22,6 @@ from .lattice import RegionPartition
 from .stabilizer import BASIS_CAP_BITS, StateVector, check_region
 
 __all__ = [
-    "DensityMatrix",
     "EntropyReport",
     "reduce",
     "region_spectrum",
@@ -34,14 +33,6 @@ __all__ = [
 
 DENSE_REGION_CAP = 14
 RANK_CUTOFF = 1e-12  # relative to the largest eigenvalue
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Dense reduced density matrix on an explicit spin region."""
-
-    entries: np.ndarray
-    region: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,7 @@ def _split_matrix(state: StateVector, region) -> np.ndarray:
     return mat.reshape(1 << len(region), n_cols)
 
 
-def reduce(state: StateVector, region) -> DensityMatrix:
+def reduce(state: StateVector, region) -> np.ndarray:
     """Partial trace of |state><state| over everything outside the region.
 
     Regions above ``DENSE_REGION_CAP`` spins are refused: the result is dense.
@@ -90,7 +81,7 @@ def reduce(state: StateVector, region) -> DensityMatrix:
     if len(region) > DENSE_REGION_CAP:
         raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
     mat = _split_matrix(state, region)
-    return DensityMatrix(entries=mat @ mat.conj().T, region=region)
+    return mat @ mat.conj().T
 
 
 def region_spectrum(state: StateVector, region) -> np.ndarray:

@@ -5,7 +5,10 @@ a field at t = 0. The post-quench Hamiltonian is time independent, so energy
 is conserved along every run; fidelity with the initial state and the four
 region entropies are sampled on a uniform time grid. Sweeps parameterize the
 field by beta = h / (1 + h), which maps h in [0, inf) onto [0, 1).
-Every run checks its conservation against the fixed ``*_TOL`` tolerances.
+Every state comes from ``ed.trajectory``: a quench takes its grid from one
+call, and a sweep takes its window and its long-horizon samples from one
+call per field value. Every run checks its conservation against the fixed
+``*_TOL`` tolerances.
 
 All emitted files are byte-identical across reruns of the same config: the
 pipeline is deterministic end to end.
@@ -46,6 +49,11 @@ NORM_DRIFT_TOL = 1e-10
 
 # Most samples one time grid may hold; criterion 8's 501 is the largest shipped.
 MAX_SAMPLES = 1_000_000
+
+
+def _alpha_tag(alpha: float) -> str:
+    """The Renyi index as it appears in CSV column names."""
+    return f"{alpha:g}"
 
 
 def _finite(name: str, value) -> float:
@@ -107,8 +115,10 @@ class QuenchConfig:
         alphas = tuple(_finite("Renyi index", a) for a in self.alpha_list)
         if any(a <= 0 for a in alphas):
             raise ValueError("Renyi indices must be positive")
-        if len(set(alphas)) != len(alphas):  # reports are keyed by index
-            raise ValueError(f"Renyi indices must not repeat, got {list(alphas)}")
+        # Reports are keyed by index and CSV columns by its tag, so neither may repeat.
+        tags = [_alpha_tag(a) for a in alphas]
+        if len(set(tags)) != len(tags):
+            raise ValueError(f"Renyi indices must not repeat, got {list(alphas)} (tags {tags})")
         object.__setattr__(self, "alpha_list", alphas)
 
 
@@ -221,7 +231,9 @@ def long_time_average(
     the sampling window. When every block the initial state touches is
     within the dense cap, a second average over golden-ratio-spaced samples
     of a much longer horizon is reported alongside; it is built from the
-    exact eigenphases, so no extra propagation error enters.
+    exact eigenphases, so no extra propagation error enters. Those samples
+    all lie past the window, so one ``ed.trajectory`` call per beta serves
+    both averages, and each touched block takes one ``eigh``.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not 0 <= t0 < t1:
@@ -237,26 +249,21 @@ def long_time_average(
         h = beta / (1.0 - beta)
         cfg = replace(config, h=h, alpha_list=(2.0,))
         geo, partition, psi0, op = _prepare(cfg)
+        spectral = _propagation(op, psi0) == "spectrum"
+        stride = (t1 - t0) * _GOLDEN
+        long_times = [t0 + j * stride for j in range(1, _EIG_SAMPLES + 1)] if spectral else []
         values = [
             entanglement.topological_entropy(state, partition, 2.0).s_top
-            for state in ed.trajectory(psi0, op, times)
+            for state in ed.trajectory(psi0, op, times + long_times)
         ]
-        eig_mean = None
-        if _propagation(op, psi0) == "spectrum":
-            stride = (t1 - t0) * _GOLDEN
-            long_times = [t0 + j * stride for j in range(1, _EIG_SAMPLES + 1)]
-            long_samples = [
-                entanglement.topological_entropy(s, partition, 2.0).s_top
-                for s in ed.trajectory(psi0, op, long_times)
-            ]
-            eig_mean = float(np.mean(long_samples))
+        in_window, long_run = values[: len(times)], values[len(times) :]
         rows.append(
             SweepRow(
                 beta=beta,
                 h=h,
-                mean_s_top=float(np.mean(values)),
-                std_s_top=float(np.std(values)),
-                eigenbasis_mean_s_top=eig_mean,
+                mean_s_top=float(np.mean(in_window)),
+                std_s_top=float(np.std(in_window)),
+                eigenbasis_mean_s_top=float(np.mean(long_run)) if spectral else None,
             )
         )
     return rows
@@ -277,7 +284,7 @@ def emit(report: QuenchReport, format: str, path) -> None:
         alphas = sorted(report.entropy)
         cols = ["t", "fidelity", "energy"]
         for a in alphas:
-            tag = f"[alpha={a:g}]"
+            tag = f"[alpha={_alpha_tag(a)}]"
             cols += [f"s1{tag}", f"s2{tag}", f"s3{tag}", f"s4{tag}", f"s_top{tag}"]
         lines = [",".join(cols)]
         for i, t in enumerate(report.times):
@@ -334,11 +341,12 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     entropy, and the run's propagation. Returns (all_passed, per-check
     lines). The propagation check builds the (0,0) state and the operator
     that ``run_quench`` would, at h = 0.1 when the config's field is zero,
-    and compares ``ed.trajectory`` at t = 1 with Krylov steps on the whole
-    basis. ``trajectory`` works block by block, from each touched block's
-    eigenbasis or by Krylov on the block's own operator, while whole-basis
-    Krylov knows nothing of blocks, so the two cross bases and, within the
-    dense cap, methods. It runs at every size the config admits.
+    and compares ``ed.trajectory`` at t = 1 with ``ed.evolve``, Krylov
+    steps on the whole basis. ``trajectory`` works block by block, from each
+    touched block's eigenbasis or by Krylov on the block's own operator,
+    while whole-basis Krylov knows nothing of blocks, so the two cross bases
+    and, within the dense cap, methods. It runs at every size the config
+    admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one
@@ -392,7 +400,7 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
 
     rdm_dev = 0.0
     for region in partition.regions:
-        mats = [entanglement.reduce(states[s], region).entries for s in sectors]
+        mats = [entanglement.reduce(states[s], region) for s in sectors]
         for m in mats[1:]:
             rdm_dev = max(rdm_dev, float(np.max(np.abs(m - mats[0]))))
     ok &= _check(lines, "sector indistinguishability", rdm_dev, 1e-10)
@@ -406,7 +414,7 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     # The run's own propagation, block by block, against Krylov on the whole basis.
     _, _, psi0, op = _prepare(replace(config, h=config.h or 0.1))
     diff = (next(ed.trajectory(psi0, op, [1.0])).amplitudes
-            - ed.evolve(psi0, op, 1.0, method="krylov").amplitudes)
+            - ed.evolve(psi0, op, 1.0).amplitudes)
     ok &= _check(lines, "block vs whole-basis propagation", float(np.linalg.norm(diff)), 1e-9)
 
     return bool(ok), lines

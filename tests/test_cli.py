@@ -90,6 +90,10 @@ def test_repeated_renyi_index_is_config_error(tmp_path, capsys):
     cfg.write_text(json.dumps({"alpha_list": [2, 1, 2.0]}))
     assert cli.main([*argv, "--config", str(cfg)]) == 2
     assert "Renyi indices must not repeat" in capsys.readouterr().err
+    # CSV columns are tagged by the index's {:g} form, so 2 and 2.0000001
+    # would write every s*[alpha=2] column twice.
+    assert cli.main([*argv, "--alpha", "2,2.0000001"]) == 2
+    assert "tags ['2', '2']" in capsys.readouterr().err
     assert not out.exists()
 
 

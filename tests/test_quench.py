@@ -232,6 +232,46 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
     assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
 
 
+def two_call_sweep_row(config, beta, window):
+    """A sweep row from two ``ed.trajectory`` calls, one over the window and
+    one over the golden-ratio horizon: the oracle of the sweep's one call."""
+    t0, t1 = window
+    h = beta / (1.0 - beta)
+    _, partition, psi0, op = quench._prepare(
+        dataclasses.replace(config, h=h, alpha_list=(2.0,))
+    )
+    stride = (t1 - t0) * quench._GOLDEN
+
+    def s_top(times):
+        return [entanglement.topological_entropy(s, partition, 2.0).s_top
+                for s in ed.trajectory(psi0, op, times)]
+
+    values = s_top([t0 + t for t in quench._time_grid(t1 - t0, config.dt)])
+    long_run = s_top([t0 + j * stride for j in range(1, quench._EIG_SAMPLES + 1)])
+    return quench.SweepRow(beta=beta, h=h, mean_s_top=float(np.mean(values)),
+                           std_s_top=float(np.std(values)),
+                           eigenbasis_mean_s_top=float(np.mean(long_run)))
+
+
+def test_sweep_takes_one_eigensystem_per_beta(monkeypatch):
+    # The window and the long horizon share one trajectory, so each beta
+    # diagonalizes its 256-state block once, and the rows are bit for bit
+    # those of two separate calls.
+    config = quench.QuenchConfig(L1=3, L2=3, dt=0.5, sector_restrict=True)
+    betas, window = [0.3, 0.9], (50.0, 55.0)
+    want = [two_call_sweep_row(config, beta, window) for beta in betas]
+    blocks = []
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def recording(self, positions):
+        blocks.append(positions.size)
+        return eigensystem(self, positions)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    assert quench.long_time_average(config, betas, window) == want
+    assert blocks == [256, 256]
+
+
 def test_verify_passes_on_shipped_configs():
     ok, lines = quench.verify(small_config())
     assert ok
@@ -248,13 +288,13 @@ def test_verify_sector_mode():
 
 
 def recording_evolve(monkeypatch):
-    """Record (method, dimension) of every ``ed.evolve`` call."""
+    """Record the dimension of every ``ed.evolve`` (Krylov) call."""
     calls = []
     evolve = ed.evolve
 
-    def recording(state, op, t, tol=1e-10, *, method):
-        calls.append((method, op.dimension))
-        return evolve(state, op, t, tol, method=method)
+    def recording(state, op, t, tol=1e-10):
+        calls.append(op.dimension)
+        return evolve(state, op, t, tol)
 
     monkeypatch.setattr(ed, "evolve", recording)
     return calls
@@ -282,16 +322,16 @@ def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
     blocks = []
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def recording(self, positions=None):
-        blocks.append([p.size for p in positions])
+    def recording(self, positions):
+        blocks.append(positions.size)
         return eigensystem(self, positions)
 
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
     assert dims == [1024]
-    assert calls == [("krylov", 1024)]
-    assert blocks == [[256]]
+    assert calls == [1024]
+    assert blocks == [256]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
@@ -330,8 +370,8 @@ def test_verify_quantities_on_sector_states_match_full_space(l1, l2):
             spec_b = entanglement.region_spectrum(b, region)
             assert spec_a.shape == spec_b.shape
             assert np.max(np.abs(spec_a - spec_b)) <= 1e-12
-            rho_a = entanglement.reduce(a, region).entries
-            rho_b = entanglement.reduce(b, region).entries
+            rho_a = entanglement.reduce(a, region)
+            rho_b = entanglement.reduce(b, region)
             assert np.max(np.abs(rho_a - rho_b)) <= 1e-12
         for alpha in (1.0, 2.0):
             top_a = entanglement.topological_entropy(a, partition, alpha).s_top
@@ -391,7 +431,7 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
 @pytest.mark.parametrize("l1,l2,field,block_krylov", [
     (2, 3, {}, []),
     (3, 3, {}, []),
-    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, [("krylov", 32768)]),
+    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, [32768]),
 ], ids=["2x3-uniform_z", "3x3-uniform_z", "3x3-split_HV"])
 def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field, block_krylov):
     # A full-space config checks its own 2^N operator against Krylov on the
@@ -404,7 +444,7 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [1 << 2 * l1 * l2]
-    assert calls == [*block_krylov, ("krylov", 1 << 2 * l1 * l2)]
+    assert calls == [*block_krylov, 1 << 2 * l1 * l2]
 
 
 @pytest.mark.parametrize("config", [
@@ -416,9 +456,9 @@ def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
     # and by no other.
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def perturbed(self, blocks=None):
-        return [(p, w + 1e-7 * np.linspace(1.0, 2.0, w.size), v)
-                for p, w, v in eigensystem(self, blocks)]
+    def perturbed(self, positions):
+        w, v = eigensystem(self, positions)
+        return w + 1e-7 * np.linspace(1.0, 2.0, w.size), v
 
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", perturbed)
     ok, lines = quench.verify(config)
