@@ -4,27 +4,23 @@ Hamiltonians are lists of weighted Pauli strings applied term by term, so a
 matvec costs O(terms * dimension) with only vector-sized memory. Each term
 is applied as a gather, which relies on every Pauli string being an
 involution: it sends state k to state j exactly when it sends j to k. The same
-engine drives any ``stabilizer.Basis``: the full 2^N space, or the
-plaquette-constrained sector from ``build_sector``, whose basis states are
-enumerated explicitly. H is block diagonal in its Z-symmetries, and a state
-is propagated only in the blocks it touches: a block within the dense cap
-through its eigendecomposition, taken once per ``trajectory`` call, and a
-larger one through an adaptive Krylov approximation of exp(-iHt) on its own
-operator. The 3x3 quench state touches 256 of the sector's 1024 states, and
-32,768 of the 2^18 full-space states under the ``split_HV`` field.
-Only ``trajectory`` applies this cap rule; ``evolve`` is Krylov on the
-whole basis.
+engine drives any ``stabilizer.Basis``: the full 2^N space, or a GF(2)
+span of flips enumerated explicitly, the plaquette sector (``build_sector``)
+or a run's block (``build_block``), the states the Hamiltonian's flips reach
+from all-up: 256 on 3x3, and 32,768 under the ``split_HV`` field.
+``trajectory`` propagates within the dense cap through one
+eigendecomposition per call, and above it through an adaptive Krylov
+approximation of exp(-iHt), which ``evolve`` runs on any basis.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import kernel_basis, mask, row_reduce, span
+from .gf2 import mask, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z, single
 from .stabilizer import Basis, StateVector, check_dimension
@@ -32,6 +28,7 @@ from .stabilizer import Basis, StateVector, check_dimension
 __all__ = [
     "HamiltonianSpec",
     "HamiltonianOperator",
+    "build_block",
     "build_hamiltonian",
     "build_sector",
     "evolve",
@@ -70,6 +67,8 @@ class HamiltonianSpec:
         for name in ("U", "J", "h", "kappa"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"coupling {name} is not finite")
+        if not np.isfinite(self.kappa * self.h):
+            raise ValueError(f"term weight kappa*h = {self.kappa * self.h!r} is not finite")
 
     def term_list(self) -> tuple[tuple[float, PauliOperator], ...]:
         """Deterministic weighted Pauli terms: plaquettes, stars, fields."""
@@ -91,6 +90,13 @@ class HamiltonianSpec:
         return tuple(terms)
 
 
+def _flip_span(n_spins: int, flips, what: str) -> Basis:
+    """The basis of every XOR of ``flips``, refused above the cap before enumeration."""
+    generators = row_reduce(flips)
+    check_dimension(len(generators), what)
+    return Basis(n_spins, span(generators))
+
+
 def build_sector(geometry: LatticeGeometry) -> Basis:
     """Enumerate the subspace with every plaquette eigenvalue +1.
 
@@ -101,9 +107,23 @@ def build_sector(geometry: LatticeGeometry) -> Basis:
     above ``2^stabilizer.BASIS_CAP_BITS`` states is refused before enumeration.
     """
     flips = geometry.star_supports + (geometry.loop1_support, geometry.loop2_support)
-    generators = row_reduce(mask(sup) for sup in flips)
-    check_dimension(len(generators), f"the {geometry.L1}x{geometry.L2} plaquette sector")
-    return Basis(geometry.n_spins, span(generators))
+    return _flip_span(geometry.n_spins, (mask(sup) for sup in flips),
+                      f"the {geometry.L1}x{geometry.L2} plaquette sector")
+
+
+def build_block(spec: HamiltonianSpec) -> Basis:
+    """The states the Hamiltonian connects to the all-up configuration.
+
+    Every term maps a computational state to one other, flipped by its X
+    part, so the all-up state's block is the GF(2) span of the flips of the
+    nonzero-weight terms, enumerated like ``build_sector``. It holds the
+    sector-(0,0) ground state whenever the stars have weight, and it is
+    where a quench from that state runs: on 3x3, the 256-state star span
+    under ``uniform_z``, 32,768 states under ``split_HV`` with kappa != 0.
+    """
+    geo = spec.geometry
+    flips = (op.x_mask for coef, op in spec.term_list() if coef and op.x_mask)
+    return _flip_span(geo.n_spins, flips, f"the {geo.L1}x{geo.L2} block of the all-up state")
 
 
 class HamiltonianOperator:
@@ -115,8 +135,9 @@ class HamiltonianOperator:
     involution, so ``perm[perm]`` is the identity and ``matvec`` reads each
     term as the gather ``(signs * v)[perm]``. Terms with imaginary matrix
     elements (an odd number of Y factors) are refused, so every weight is a
-    float. On a sector basis each term must map the sector to itself; a
-    full basis above ``2^stabilizer.BASIS_CAP_BITS`` states is refused first.
+    float. On a kept basis each term must map the basis to itself; a full
+    basis above ``2^stabilizer.BASIS_CAP_BITS`` states is refused first, and
+    a diagonal that overflows to a non-finite value is refused.
     """
 
     def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
@@ -138,7 +159,7 @@ class HamiltonianOperator:
             perm, signs, valid = basis.pauli_action(op)
             if valid is not None:
                 raise ValueError(
-                    f"term {op} does not preserve the sector; "
+                    f"term {op} does not preserve the basis; "
                     "it fails to commute with a basis constraint"
                 )
             weight = coef * op.phase.real
@@ -146,6 +167,8 @@ class HamiltonianOperator:
                 diag += weight if signs is None else weight * signs
                 continue
             offdiag.append((weight, perm, signs))
+        if not np.isfinite(diag).all():
+            raise ValueError("the diagonal of the Hamiltonian is not finite")
         self._diag = diag
         self._offdiag = offdiag
 
@@ -162,56 +185,6 @@ class HamiltonianOperator:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.vdot(v, self.matvec(v)).real)
 
-    def symmetries(self) -> list[int]:
-        """Z-strings that commute with every term, as a GF(2) basis of spin masks.
-
-        A Z-string commutes with a term when it overlaps the term's flips evenly.
-        """
-        flips = [op.x_mask for coef, op in self.terms if coef and op.x_mask]
-        n = self.basis.n_spins
-        columns = [sum((x >> s & 1) << t for t, x in enumerate(flips)) for s in range(n)]
-        return kernel_basis(columns)
-
-    def blocks(self, amplitudes: np.ndarray | None = None) -> list[np.ndarray]:
-        """Ascending basis positions of every block, or of each block ``amplitudes`` touches.
-
-        A block holds the basis states with equal parities under every
-        symmetry, so every term maps a block into itself. A block is touched
-        where ``amplitudes`` is nonzero; only the touched blocks are
-        gathered, so a state in one of the 1024 blocks of the 3x3 full space
-        costs one block, not 1024. Blocks come in ascending order of their
-        parities, the first symmetry's most significant.
-        """
-        idx = self.basis._indices()
-        labels = np.zeros(self.dimension, dtype=np.int64)
-        for z in self.symmetries():
-            labels = 2 * labels + (np.bitwise_count(idx & z) & 1)
-        positions = np.arange(self.dimension)
-        if amplitudes is not None:
-            positions = np.flatnonzero(np.isin(labels, labels[amplitudes != 0]))
-        positions = positions[np.argsort(labels[positions], kind="stable")]
-        return np.split(positions, np.flatnonzero(np.diff(labels[positions])) + 1)
-
-    def restrict(self, positions: np.ndarray) -> "HamiltonianOperator":
-        """The operator on a block, over the basis of that block's states.
-
-        ``positions`` must be ascending and a set that every term maps into
-        itself, such as a block. The parent's term arrays are sliced, not
-        rebuilt; the whole basis gives the operator itself.
-        """
-        if positions.size == self.dimension:
-            return self
-        local = np.empty(self.dimension, dtype=np.int64)
-        local[positions] = np.arange(positions.size)
-        block = copy.copy(self)
-        block.basis = Basis(self.basis.n_spins, self.basis._indices()[positions])
-        block._diag = self._diag[positions]
-        block._offdiag = [
-            (weight, local[perm[positions]], None if signs is None else signs[positions])
-            for weight, perm, signs in self._offdiag
-        ]
-        return block
-
     def dense(self) -> np.ndarray:
         """Dense matrix over the operator's basis."""
         cols = np.arange(self.dimension)
@@ -220,26 +193,26 @@ class HamiltonianOperator:
             mat[perm, cols] += weight if signs is None else weight * signs
         return mat
 
-    def eigensystem(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, vecs)`` of the block at ``positions``, from one real ``eigh``.
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, vecs)`` of the operator, from one real ``eigh`` of ``dense()``.
 
-        The vectors are stored complex, like the states they act on. A block
+        The vectors are stored complex, like the states they act on. A basis
         above the dense cap is refused before the ``eigh`` runs.
         """
-        if positions.size > FULL_SPECTRUM_CAP:
+        if self.dimension > FULL_SPECTRUM_CAP:
             raise ValueError(
-                f"block of {positions.size} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
+                f"basis of {self.dimension} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
             )
-        w, vecs = np.linalg.eigh(self.restrict(positions).dense())
+        w, vecs = np.linalg.eigh(self.dense())
         return w, vecs.astype(np.complex128)
 
 
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     """Assemble the matrix-free operator for a coupling spec.
 
-    ``basis`` defaults to the full 2^N space; pass the ``build_sector``
-    basis to restrict (only valid when every term commutes with the sector
-    constraints, e.g. the uniform-z field).
+    ``basis`` defaults to the full 2^N space; pass ``build_block(spec)``,
+    or the ``build_sector`` basis when every term commutes with the
+    plaquettes (the uniform-z field), to restrict.
     """
     if basis is None:
         basis = Basis(spec.geometry.n_spins)
@@ -281,32 +254,9 @@ def _expm_krylov_step(
 
 
 def propagation(dimension: int) -> str:
-    """Propagation of a block of ``dimension`` states: "spectrum" within the
+    """Propagation of a basis of ``dimension`` states: "spectrum" within the
     dense cap, else "krylov"."""
     return "spectrum" if dimension <= FULL_SPECTRUM_CAP else "krylov"
-
-
-def _block_samples(op: HamiltonianOperator, positions: np.ndarray, amps: np.ndarray, times):
-    """A block's slice ``amps`` of the state at each time, by the cap rule.
-
-    Within the cap the slice is projected once on the block's eigenbasis and
-    each sample is built from the eigenphases. Above it ``evolve`` steps the
-    slice from one sample to the next on the block's own operator. A slice
-    of a state that touches several blocks is not normalized, so it is
-    stepped as ``amps / |amps|`` and scaled back.
-    """
-    if propagation(positions.size) == "spectrum":
-        w, vecs = op.eigensystem(positions)
-        coef = vecs.conj().T @ amps
-        for t in times:
-            yield vecs @ (coef * np.exp(-1j * w * t))
-        return
-    norm = float(np.linalg.norm(amps))
-    block = op.restrict(positions)
-    state = StateVector(amps / norm, block.basis)
-    for step in np.diff(times, prepend=0.0):
-        state = evolve(state, block, step)
-        yield norm * state.amplitudes
 
 
 def trajectory(
@@ -314,32 +264,33 @@ def trajectory(
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Only the blocks the state touches are propagated, each by
-    ``propagation`` of its own size: within the dense cap from its
-    eigenbasis coefficients, one ``eigh`` per block and call; above it by
-    Krylov steps from one sample to the next on the block's operator. Each
-    sample is scattered back into the operator's basis.
+    The operator is propagated by ``propagation`` of its dimension: within
+    the dense cap the state is projected once on the eigenbasis of one
+    ``eigensystem`` call and each sample is built from the eigenphases;
+    above it ``evolve`` steps from one sample to the next.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    amps = state.amplitudes
-    streams = [(p, _block_samples(op, p, amps[p], times)) for p in op.blocks(amps)]
-    for _ in times:
-        out = np.zeros_like(amps)
-        for positions, samples in streams:
-            out[positions] = next(samples)
-        yield StateVector(out, state.basis)
+    if propagation(op.dimension) == "spectrum":
+        w, vecs = op.eigensystem()
+        coef = vecs.conj().T @ state.amplitudes
+        for t in times:
+            yield StateVector(vecs @ (coef * np.exp(-1j * w * t)), state.basis)
+        return
+    for step in np.diff(times, prepend=0.0):
+        state = evolve(state, op, step)
+        yield state
 
 
 def evolve(
     state: StateVector, op: HamiltonianOperator, t: float, tol: float = 1e-10
 ) -> StateVector:
-    """Propagate a state to exp(-iHt)|state> by Krylov steps on the whole basis.
+    """Propagate a state to exp(-iHt)|state> by Krylov steps on the operator's basis.
 
     Substeps are adaptive, with subspaces of at most ``KRYLOV_DIM`` vectors,
     and the whole propagation is held to ``tol``. ``trajectory`` calls it
-    on a block's own operator above the dense cap. Unitarity is inherited,
-    not enforced: no renormalization happens.
+    above the dense cap. Unitarity is inherited, not enforced: no
+    renormalization happens.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")

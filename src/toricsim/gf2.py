@@ -15,7 +15,6 @@ __all__ = [
     "rank",
     "reduce_mod",
     "span",
-    "kernel_basis",
 ]
 
 
@@ -77,26 +76,3 @@ def span(vectors: Iterable[int]) -> list[int]:
     for b in row_reduce(vectors):
         elements += [e ^ b for e in elements]
     return elements
-
-
-def kernel_basis(vectors: Sequence[int]) -> list[int]:
-    """Basis of combination masks whose XOR of input vectors vanishes.
-
-    Parameters
-    ----------
-    vectors : sequence of int
-        Bit vectors over GF(2).
-
-    Returns
-    -------
-    list of int
-        Masks c over input positions such that the XOR of ``vectors[i]``
-        over all set bits i of c is zero. The masks form a basis of the
-        kernel of the combination map, so every vanishing combination is
-        an XOR of returned masks.
-    """
-    # Reduce each vector with its combination mask below it: the rows left with
-    # no vector part have distinct leading mask bits, and they span the kernel.
-    k = len(vectors)
-    rows = row_reduce((v << k) | (1 << i) for i, v in enumerate(vectors))
-    return [r for r in rows if r >> k == 0]

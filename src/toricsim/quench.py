@@ -5,10 +5,13 @@ a field at t = 0. The post-quench Hamiltonian is time independent, so energy
 is conserved along every run; fidelity with the initial state and the four
 region entropies are sampled on a uniform time grid. Sweeps parameterize the
 field by beta = h / (1 + h), which maps h in [0, inf) onto [0, 1).
-Every state comes from ``ed.trajectory``: a quench takes its grid from one
-call, and a sweep takes its window and its long-horizon samples from one
-call per field value. Every run checks its conservation against the fixed
-``*_TOL`` tolerances.
+A run builds its initial state and operator only on the block of that
+state, the span of the Hamiltonian's flips from ``ed.build_block``; the
+config's whole space, 2^N states or the plaquette sector, is only counted
+against the cap, reported, and built by ``verify`` as its reference. Every state comes from
+``ed.trajectory``: a quench takes its grid from one call, and a sweep takes
+its window and its long-horizon samples from one call per field value.
+Every run checks its conservation against the fixed ``*_TOL`` tolerances.
 
 All emitted files are byte-identical across reruns of the same config: the
 pipeline is deterministic end to end.
@@ -92,11 +95,8 @@ class QuenchConfig:
         if not isinstance(self.sector_restrict, bool):
             raise ValueError(f"sector_restrict must be a bool, got {self.sector_restrict!r}")
         # Refused before any lattice is built, since that build is linear in sites.
-        sites, size = self.L1 * self.L2, f"{self.L1}x{self.L2}"
-        if self.sector_restrict:
-            stabilizer.check_dimension(sites + 1, f"the {size} plaquette sector")
-        else:
-            stabilizer.check_dimension(2 * sites, f"the {size} full space")
+        space = "plaquette sector" if self.sector_restrict else "full space"
+        stabilizer.check_dimension(self.space_bits(), f"the {self.L1}x{self.L2} {space}")
         for name in ("h", "kappa", "t_max", "dt"):
             _finite(name, getattr(self, name))
         if self.dt <= 0:
@@ -121,6 +121,11 @@ class QuenchConfig:
             raise ValueError(f"Renyi indices must not repeat, got {list(alphas)} (tags {tags})")
         object.__setattr__(self, "alpha_list", alphas)
 
+    def space_bits(self) -> int:
+        """log2 of the config's whole space, the plaquette sector or the full space."""
+        sites = self.L1 * self.L2
+        return sites + 1 if self.sector_restrict else 2 * sites
+
 
 @dataclass
 class QuenchReport:
@@ -142,21 +147,16 @@ def _time_grid(t_max: float, dt: float) -> list[float]:
 
 
 def _prepare(config: QuenchConfig):
-    """Geometry, partition, initial state, and Hamiltonian for a config."""
+    """Geometry, partition, initial state, and Hamiltonian for a config, the
+    last two on the block of the initial state."""
     geo = lattice.build_lattice(config.L1, config.L2)
     partition = lattice.build_partition(geo, config.partition_preset)
-    basis = ed.build_sector(geo) if config.sector_restrict else None
-    psi0 = stabilizer.ground_state(geo, (0, 0), basis)
     spec = ed.HamiltonianSpec(geometry=geo, h=config.h, kappa=config.kappa,
                               field_mode=config.field_mode)
+    basis = ed.build_block(spec)
+    psi0 = stabilizer.ground_state(geo, (0, 0), basis)
     op = ed.build_hamiltonian(spec, basis)
     return geo, partition, psi0, op
-
-
-def _propagation(op: ed.HamiltonianOperator, state: stabilizer.StateVector) -> str:
-    """How ``ed.trajectory`` propagates ``state``: "spectrum" when every
-    block it touches is within the dense cap, else "krylov"."""
-    return ed.propagation(max(p.size for p in op.blocks(state.amplitudes)))
 
 
 def run_quench(config: QuenchConfig) -> QuenchReport:
@@ -175,7 +175,8 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
     entropy: dict[float, list[EntropyReport]] = {a: [] for a in config.alpha_list}
     for t, state in zip(times, ed.trajectory(psi0, op, times)):
         norm_err = abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
-        if norm_err > NORM_DRIFT_TOL:
+        # Written as not (x <= tol) so that a NaN fails each check.
+        if not norm_err <= NORM_DRIFT_TOL:
             raise RuntimeError(
                 f"norm drifted by {norm_err:.3e} at t={t:g} (tol {NORM_DRIFT_TOL:.1e})"
             )
@@ -184,11 +185,11 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
         for a in config.alpha_list:
             entropy[a].append(entanglement.topological_entropy(state, partition, a))
 
-    if fid and abs(fid[0] - 1.0) > INITIAL_FIDELITY_TOL:
+    if fid and not abs(fid[0] - 1.0) <= INITIAL_FIDELITY_TOL:
         raise RuntimeError(f"initial fidelity {fid[0]!r} differs from 1")
     if energy:
-        drift = max(energy) - min(energy)
-        if drift > ENERGY_DRIFT_TOL:
+        drift = float(np.max(energy) - np.min(energy))  # NaN-propagating
+        if not drift <= ENERGY_DRIFT_TOL:
             raise RuntimeError(
                 f"energy drifted by {drift:.3e} over the run "
                 f"(tol {ENERGY_DRIFT_TOL:.1e}); "
@@ -198,8 +199,9 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
     metadata = {
         "config": {**asdict(config), "alpha_list": list(config.alpha_list)},
         "version": __version__,
-        "basis_dimension": op.dimension,
-        "propagation": _propagation(op, psi0),
+        "basis_dimension": 1 << config.space_bits(),
+        "block_dimension": op.dimension,
+        "propagation": ed.propagation(op.dimension),
         "initial_sector": [0, 0],
     }
     return QuenchReport(
@@ -228,12 +230,12 @@ def long_time_average(
     """Windowed time average of S_top(alpha=2) over a beta grid.
 
     For each beta the field is h = beta/(1-beta) and S_top is averaged over
-    the sampling window. When every block the initial state touches is
-    within the dense cap, a second average over golden-ratio-spaced samples
-    of a much longer horizon is reported alongside; it is built from the
-    exact eigenphases, so no extra propagation error enters. Those samples
-    all lie past the window, so one ``ed.trajectory`` call per beta serves
-    both averages, and each touched block takes one ``eigh``.
+    the sampling window. When the initial state's block is within the dense
+    cap, a second average over golden-ratio-spaced samples of a much longer
+    horizon is reported alongside; it is built from the exact eigenphases,
+    so no extra propagation error enters. Those samples all lie past the
+    window, so one ``ed.trajectory`` call per beta serves both averages,
+    and the block takes one ``eigh``.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not 0 <= t0 < t1:
@@ -249,7 +251,7 @@ def long_time_average(
         h = beta / (1.0 - beta)
         cfg = replace(config, h=h, alpha_list=(2.0,))
         geo, partition, psi0, op = _prepare(cfg)
-        spectral = _propagation(op, psi0) == "spectrum"
+        spectral = ed.propagation(op.dimension) == "spectrum"
         stride = (t1 - t0) * _GOLDEN
         long_times = [t0 + j * stride for j in range(1, _EIG_SAMPLES + 1)] if spectral else []
         values = [
@@ -339,14 +341,14 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     expectations, flat entanglement spectra against the group-rank rule,
     sector indistinguishability of reduced matrices, the topological
     entropy, and the run's propagation. Returns (all_passed, per-check
-    lines). The propagation check builds the (0,0) state and the operator
-    that ``run_quench`` would, at h = 0.1 when the config's field is zero,
-    and compares ``ed.trajectory`` at t = 1 with ``ed.evolve``, Krylov
-    steps on the whole basis. ``trajectory`` works block by block, from each
-    touched block's eigenbasis or by Krylov on the block's own operator,
-    while whole-basis Krylov knows nothing of blocks, so the two cross bases
-    and, within the dense cap, methods. It runs at every size the config
-    admits.
+    lines). The propagation check builds the (0,0) state and the block
+    operator that ``run_quench`` would, at h = 0.1 when the config's field
+    is zero, and compares ``ed.trajectory`` at t = 1 with ``ed.evolve``,
+    Krylov steps on the config's whole space: the plaquette sector with
+    ``sector_restrict``, else all 2^N states. The block's amplitudes are
+    placed at their positions in that space. The reference knows nothing of
+    the block, so the two cross bases and, within the dense cap, methods.
+    It runs at every size the config admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one
@@ -411,10 +413,15 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
         stop_dev = max(stop_dev, abs(rep.s_top - 1.0))
     ok &= _check(lines, "topological entropy = 1 bit", stop_dev, 1e-8)
 
-    # The run's own propagation, block by block, against Krylov on the whole basis.
+    # The run's own propagation on its block, against Krylov on the whole space.
     _, _, psi0, op = _prepare(replace(config, h=config.h or 0.1))
-    diff = (next(ed.trajectory(psi0, op, [1.0])).amplitudes
-            - ed.evolve(psi0, op, 1.0).amplitudes)
+    space = basis if config.sector_restrict else stabilizer.Basis(geo.n_spins)
+    amps = np.zeros((2, space.dimension), dtype=np.complex128)
+    amps[:, space._locate(op.basis.kept_indices)[0]] = (
+        psi0.amplitudes, next(ed.trajectory(psi0, op, [1.0])).amplitudes)
+    whole = ed.evolve(stabilizer.StateVector(amps[0], space),
+                      ed.HamiltonianOperator(op.terms, space), 1.0)
+    diff = amps[1] - whole.amplitudes
     ok &= _check(lines, "block vs whole-basis propagation", float(np.linalg.norm(diff)), 1e-9)
 
     return bool(ok), lines

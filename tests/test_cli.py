@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, outputs, and config merging."""
 
 import json
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toricsim import cli, quench, stabilizer
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_ground_reports_energy(capsys):
@@ -180,6 +184,61 @@ def test_physics_failure_exits_one(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--l1", "3", "--l2", "3", "--full-space", "--field-mode", "split_HV",
+     "--h", "1e200", "--kappa", "1e200"],
+    ["--l1", "2", "--l2", "2", "--h", "1e308"],
+], ids=["field-weight", "diagonal"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_hamiltonian_is_config_error(argv, tmp_path, capsys):
+    # kappa*h overflows to inf; eight -h sigma^z terms sum to -inf on all-up
+    out = tmp_path / "x.csv"
+    assert cli.main(["quench", *argv, "--t-max", "0", "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def nan_after_first(fn):
+    """``fn`` whose calls after the first return NaN."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        return fn(*args) if len(calls) == 1 else float("nan")
+
+    return wrapped
+
+
+@pytest.mark.parametrize("check", ["energy", "fidelity", "norm"])
+def test_nan_fails_the_conservation_checks(check, monkeypatch, tmp_path, capsys):
+    # Every check is written so that a NaN fails it, wherever it falls.
+    from toricsim import ed, entanglement
+
+    if check == "energy":
+        expectation = ed.HamiltonianOperator.expectation
+        monkeypatch.setattr(ed.HamiltonianOperator, "expectation", nan_after_first(expectation))
+        message = "energy drifted by nan"
+    elif check == "fidelity":
+        monkeypatch.setattr(entanglement, "fidelity", lambda a, b: float("nan"))
+        message = "initial fidelity nan"
+    else:
+        trajectory = ed.trajectory
+
+        def nan_states(state, op, times):
+            for s in trajectory(state, op, times):
+                yield stabilizer.StateVector(s.amplitudes * np.nan, s.basis)
+
+        monkeypatch.setattr(ed, "trajectory", nan_states)
+        message = "norm drifted by nan"
+    with pytest.raises(RuntimeError, match=message):
+        quench.run_quench(quench.QuenchConfig(L1=2, L2=2, t_max=1.0, dt=0.5))
+    out = tmp_path / "run.csv"
+    argv = ["quench", "--l1", "2", "--l2", "2", "--t-max", "1.0", "--dt", "0.5"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_quench_json_is_independent_of_the_output_path(tmp_path):
     args = ["quench", "--l1", "2", "--l2", "2", "--t-max", "1.0", "--dt", "0.5",
             "--format", "json"]
@@ -340,3 +399,22 @@ def test_thread_configuration(monkeypatch):
     import os
 
     assert all(os.environ[var] == "3" for var in cli._THREAD_VARS)
+
+
+def readme_commands():
+    """The argv of each example in the README's command-line block."""
+    text = README.read_text(encoding="utf-8")
+    block = next(b for b in text.split("```sh\n")[1:] if "toricsim ground" in b)
+    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("toricsim ")]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == ["ground", "verify", "quench", "sweep", "entropy"]
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert cli.main(argv) == 0, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.npz", "quench.csv", "sweep.csv"]

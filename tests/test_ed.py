@@ -1,13 +1,13 @@
 """Hamiltonian assembly, diagonalization, and propagation cross-checks."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gf2_kernel import kernel_basis
 from pauli_algebra import apply_to_basis, commutes, pauli_multiply
-from toricsim import ed, lattice, pauli, stabilizer
+from toricsim import ed, gf2, lattice, pauli, stabilizer
 
 # Start vectors of the Lanczos oracle come from this seed; the library
 # itself draws no random numbers.
@@ -85,15 +85,42 @@ def dense_eigh(op):
 
 def dense_samples(psi, op, times):
     """exp(-iHt)|psi> at each time from ``dense_eigh``: the oracle of the
-    block propagators."""
+    propagators."""
     w, vecs = dense_eigh(op)
     coef = vecs.T @ psi.amplitudes
     return [vecs @ (np.exp(-1j * w * t) * coef) for t in times]
 
 
-def block_spectrum(op):
-    """Eigenvalues of every block from ``op.eigensystem``, merged ascending."""
-    return np.sort(np.concatenate([op.eigensystem(p)[0] for p in op.blocks()]))
+def embed(state, space):
+    """A state's amplitudes placed at their positions in ``space``, which
+    holds every state of its basis."""
+    positions, found = space._locate(state.basis._indices())
+    assert found is None
+    out = np.zeros(space.dimension, dtype=np.complex128)
+    out[positions] = state.amplitudes
+    return out
+
+
+def symmetries(terms, n):
+    """Z-strings that overlap every weighted term's flips evenly, as a GF(2)
+    basis of spin masks: each commutes with every term."""
+    flips = [op.x_mask for coef, op in terms if coef and op.x_mask]
+    columns = [sum((x >> s & 1) << t for t, x in enumerate(flips)) for s in range(n)]
+    return kernel_basis(columns)
+
+
+def touched_block(spec, space):
+    """Indices of the states of ``space`` in the (0,0) ground state's symmetry
+    block, found without ``ed.build_block``: each state is labelled by its
+    parities under every symmetry, and the block is the states that share
+    the ground state's label."""
+    idx = space._indices()
+    labels = np.zeros(idx.size, dtype=np.int64)
+    for z in symmetries(spec.term_list(), spec.geometry.n_spins):
+        labels = 2 * labels + (np.bitwise_count(idx & z) & 1)
+    psi0 = stabilizer.ground_state(spec.geometry, (0, 0), space)
+    (label,) = np.unique(labels[psi0.amplitudes != 0])
+    return idx[labels == label]
 
 
 def project_out(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -329,10 +356,13 @@ def test_build_hamiltonian_refuses_a_full_space_above_the_cap():
 
 
 def test_identity_operator_spectrum():
-    # No term flips a spin, so every basis state is a block of its own.
     op = ed.HamiltonianOperator([(2.5, pauli.PauliOperator(4))], stabilizer.Basis(4))
-    assert len(op.blocks()) == 16
-    assert np.allclose(block_spectrum(op), 2.5)
+    w, vecs = op.eigensystem()
+    assert np.allclose(w, 2.5)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(16), atol=1e-14)
+    # No term flips a spin, so the span of the flips is the all-up state alone.
+    single = ed.HamiltonianOperator(op.terms, stabilizer.Basis(4, gf2.span([])))
+    assert single.dimension == 1 and np.allclose(single.eigensystem()[0], 2.5)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +373,7 @@ def test_real_operator_matches_complex_oracle(geo22, kwargs):
     mat = op.dense()
     assert mat.dtype == np.float64
     w_ref, v_ref = np.linalg.eigh(mat.astype(complex))
-    assert np.max(np.abs(block_spectrum(op) - w_ref)) < 1e-12
+    assert np.max(np.abs(op.eigensystem()[0] - w_ref)) < 1e-12
     rng = np.random.default_rng(31)
     amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
@@ -446,9 +476,15 @@ def test_sector_positions_and_project(geo22):
 def test_sector_hamiltonian_requires_commuting_terms(geo22):
     basis = ed.build_sector(geo22)
     spec = ed.HamiltonianSpec(geo22, h=0.2, kappa=0.4, field_mode="split_HV")
-    with pytest.raises(ValueError, match="sector"):
+    with pytest.raises(ValueError, match="does not preserve"):
         ed.build_hamiltonian(spec, basis)
     ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=0.2), basis)
+    # The star span lacks the field's single-spin flips under split_HV.
+    stars = ed.build_block(ed.HamiltonianSpec(geo22, h=0.2))
+    split = ed.HamiltonianSpec(geo22, h=0.2, kappa=1.0, field_mode="split_HV")
+    with pytest.raises(ValueError, match="does not preserve"):
+        ed.build_hamiltonian(split, stars)
+    assert ed.build_hamiltonian(split, ed.build_block(split)).dimension == 64
 
 
 def test_sector_spectrum_contains_ground_state(geo22):
@@ -610,45 +646,82 @@ def test_evolve_errors(geo22):
         ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)
 
 
-# (L1, L2, sector basis, couplings, block count, block size), all at h = 9
+# (L1, L2, sector basis, couplings, block size), all at h = 9
 BLOCK_CASES = {
-    "2x2-full-uniform_z": (2, 2, False, {"h": 9.0}, 32, 8),
-    "2x2-full-split_HV": (2, 2, False, {"h": 9.0, "kappa": 1.0, "field_mode": "split_HV"}, 4, 64),
-    "2x3-sector": (2, 3, True, {"h": 9.0}, 4, 32),
-    "3x3-sector": (3, 3, True, {"h": 9.0}, 4, 256),
+    "2x2-full-uniform_z": (2, 2, False, {"h": 9.0}, 8),
+    "2x2-full-split_HV": (2, 2, False, {"h": 9.0, "kappa": 1.0, "field_mode": "split_HV"}, 64),
+    "2x3-sector": (2, 3, True, {"h": 9.0}, 32),
+    "3x3-sector": (3, 3, True, {"h": 9.0}, 256),
 }
 
 
 def block_case(name):
-    l1, l2, sector, kwargs, _, _ = BLOCK_CASES[name]
+    """The case's operator on its whole space, then the operator and the
+    (0,0) ground state on the block that ``ed.build_block`` builds."""
+    l1, l2, sector, kwargs, _ = BLOCK_CASES[name]
     geo = lattice.build_lattice(l1, l2)
-    basis = ed.build_sector(geo) if sector else None
-    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, **kwargs), basis)
-    psi0 = stabilizer.ground_state(geo)
-    if sector:
-        psi0 = basis.project(psi0)
-    return op, psi0
+    spec = ed.HamiltonianSpec(geo, **kwargs)
+    whole = ed.build_hamiltonian(spec, ed.build_sector(geo) if sector else None)
+    block = ed.build_hamiltonian(spec, ed.build_block(spec))
+    return whole, block, stabilizer.ground_state(geo, (0, 0), block.basis)
+
+
+# Every run config: three lattices, each on the full space under uniform_z
+# and under split_HV with kappa 1 and 0, and on the plaquette sector.
+RUN_CONFIGS = {
+    f"{l1}x{l2}-{name}": (l1, l2, sector, field)
+    for l1, l2 in ((2, 2), (2, 3), (3, 3))
+    for name, sector, field in (
+        ("full-uniform_z", False, {}),
+        ("full-split_HV-kappa1", False, {"field_mode": "split_HV", "kappa": 1.0}),
+        ("full-split_HV-kappa0", False, {"field_mode": "split_HV", "kappa": 0.0}),
+        ("sector", True, {}),
+    )
+}
+
+
+@pytest.mark.parametrize("name", RUN_CONFIGS)
+def test_build_block_is_the_touched_symmetry_block(name):
+    # The flip span against the block the ground state touches among the
+    # parity labels of the config's whole space.
+    l1, l2, sector, field = RUN_CONFIGS[name]
+    geo = lattice.build_lattice(l1, l2)
+    spec = ed.HamiltonianSpec(geo, h=0.3, **field)
+    space = ed.build_sector(geo) if sector else stabilizer.Basis(geo.n_spins)
+    block = ed.build_block(spec)
+    assert np.array_equal(block.kept_indices, touched_block(spec, space))
+    # the star span; with the vertical flips, every state whose L2 rows of
+    # horizontal bonds each keep the even parity of the all-up state
+    bits = geo.n_spins - l2 if field.get("kappa") == 1.0 else l1 * l2 - 1
+    assert block.dimension == 1 << bits
+
+
+def test_build_block_refuses_a_span_above_the_cap():
+    # 5x5 split_HV: stars and vertical flips span 2^45 states
+    spec = ed.HamiltonianSpec(lattice.build_lattice(5, 5), h=1.0, kappa=1.0,
+                              field_mode="split_HV")
+    with pytest.raises(ValueError, match="5x5 block of the all-up state has 2\\^45"):
+        ed.build_block(spec)
 
 
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_blocks_come_from_commuting_z_strings(name):
-    op, _ = block_case(name)
-    n = op.basis.n_spins
-    for z in op.symmetries():
+    whole, block, _ = block_case(name)
+    n = whole.basis.n_spins
+    kept = block.basis.kept_indices
+    # every symmetry commutes with every term and is constant on the block
+    for z in symmetries(whole.terms, n):
         string = pauli.pauli_z(n, [s for s in range(n) if z >> s & 1])
-        assert all(commutes(string, term) for _, term in op.terms)
-    blocks = op.blocks()
-    *_, count, size = BLOCK_CASES[name]
-    assert len(blocks) == count and {b.size for b in blocks} == {size}
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(op.dimension))
-    label = np.empty(op.dimension, dtype=int)
-    for i, positions in enumerate(blocks):
-        assert np.all(np.diff(positions) > 0)
-        label[positions] = i
-    mat = op.dense()
-    assert np.all(mat[label[:, None] != label[None, :]] == 0.0)
-    for positions in blocks:
-        assert np.array_equal(op.restrict(positions).dense(), mat[np.ix_(positions, positions)])
+        assert all(commutes(string, term) for _, term in whole.terms)
+        assert np.unique(np.bitwise_count(kept & z) & 1).size == 1
+    assert block.dimension == BLOCK_CASES[name][-1]
+    # no matrix element leaves the block, and its operator is its submatrix
+    positions, _ = whole.basis._locate(kept)
+    inside = np.zeros(whole.dimension, dtype=bool)
+    inside[positions] = True
+    mat = whole.dense()
+    assert np.all(mat[np.ix_(~inside, inside)] == 0.0)
+    assert np.array_equal(block.dense(), mat[np.ix_(positions, positions)])
 
 
 def signed_flip_operator():
@@ -665,66 +738,74 @@ def signed_flip_operator():
 
 
 def test_blocks_of_signed_flip_terms():
-    # Y0·Y1 flips with a sign, so each block takes its slice of the signs.
+    # Y0·Y1 flips with a sign, so each coset of the flip span takes its
+    # slice of the signs.
     op = signed_flip_operator()
-    assert sorted(op.symmetries()) == [0b00111, 0b11000]
     mat = op.dense()
     columns = [op.matvec(one_hot(op.dimension, j)) for j in range(op.dimension)]
     assert np.array_equal(mat, np.column_stack(columns).real)
-    assert [b.size for b in op.blocks()] == [8, 8, 8, 8]
-    for positions in op.blocks():
-        assert np.array_equal(op.restrict(positions).dense(), mat[np.ix_(positions, positions)])
-    assert np.max(np.abs(block_spectrum(op) - np.linalg.eigvalsh(mat))) < 1e-12
+    span = gf2.span(term.x_mask for _, term in op.terms)
+    assert sorted(span) == [0, 3, 5, 6, 24, 27, 29, 30]
+    spectra = []
+    for shift in (0, 4, 8, 12):
+        coset = ed.HamiltonianOperator(op.terms, stabilizer.Basis(5, [e ^ shift for e in span]))
+        kept = coset.basis.kept_indices
+        assert np.array_equal(coset.dense(), mat[np.ix_(kept, kept)])
+        spectra.append(coset.eigensystem()[0])
+    merged = np.sort(np.concatenate(spectra))
+    assert np.max(np.abs(merged - np.linalg.eigvalsh(mat))) < 1e-12
 
 
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_merged_block_spectrum_matches_dense_oracle(name):
-    op, _ = block_case(name)
-    w_ref = np.linalg.eigvalsh(op.dense())
-    for positions in op.blocks():
-        w, vecs = op.eigensystem(positions)
-        assert np.all(np.diff(w) >= 0)
-        assert vecs.dtype == np.complex128
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(positions.size))) < 1e-12
-        for i in range(0, positions.size, max(1, positions.size // 4)):
-            v = np.zeros(op.dimension, dtype=np.complex128)
-            v[positions] = vecs[:, i]
-            assert np.linalg.norm(op.matvec(v) - w[i] * v) < 1e-11
+    whole, block, _ = block_case(name)
+    w_ref = np.linalg.eigvalsh(whole.dense())
     # Relative to the spectral radius (171 on the 3x3 sector at h = 9), as
     # the dense real and complex eigvalsh already differ by 1e-12 there.
-    w = block_spectrum(op)
-    assert np.max(np.abs(w - w_ref)) < 1e-12 * np.abs(w).max()
+    scale = 1e-12 * np.abs(w_ref).max()
+    assert np.max(np.abs(whole.eigensystem()[0] - w_ref)) < scale
+    w, vecs = block.eigensystem()
+    assert np.all(np.diff(w) >= 0)
+    assert vecs.dtype == np.complex128
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(block.dimension))) < 1e-12
+    # each block eigenpair is one of the whole operator's
+    positions, _ = whole.basis._locate(block.basis.kept_indices)
+    for i in range(0, block.dimension, max(1, block.dimension // 4)):
+        v = np.zeros(whole.dimension, dtype=np.complex128)
+        v[positions] = vecs[:, i]
+        assert np.linalg.norm(whole.matvec(v) - w[i] * v) < 1e-11
+    assert np.max(np.abs(w_ref[np.searchsorted(w_ref, w - scale)] - w)) < scale
 
 
 @pytest.mark.parametrize("name", BLOCK_CASES)
 def test_block_trajectory_matches_complex_oracle_to_t100(name):
     # Out to t = 100 at h = 9 an eigenphase carries about t*|E|*eps ~ 1e-12
     # of round-off in either route, so the budget is 1e-10 per amplitude.
-    op, psi0 = block_case(name)
-    w_ref, v_ref = np.linalg.eigh(op.dense().astype(complex))
+    # The quench state runs on its block, a seeded random state on the whole
+    # space; the oracle is the whole space's complex spectrum.
+    whole, block, psi0 = block_case(name)
+    w_ref, v_ref = np.linalg.eigh(whole.dense().astype(complex))
     rng = np.random.default_rng(37)
-    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-    noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    assert len(op.blocks(psi0.amplitudes)) == 1
-    assert len(op.blocks(noise.amplitudes)) == len(op.blocks())
+    amps = rng.standard_normal(whole.dimension) + 1j * rng.standard_normal(whole.dimension)
+    noise = stabilizer.StateVector(amps / np.linalg.norm(amps), whole.basis)
     times = [12.5 * k for k in range(9)]
-    for psi in (psi0, noise):
-        coef = v_ref.conj().T @ psi.amplitudes
+    for psi, op in ((psi0, block), (noise, whole)):
+        coef = v_ref.conj().T @ embed(psi, whole.basis)
         for t, state in zip(times, ed.trajectory(psi, op, times)):
             want = v_ref @ (coef * np.exp(-1j * w_ref * t))
-            assert np.max(np.abs(state.amplitudes - want)) < 1e-10
+            assert np.max(np.abs(embed(state, whole.basis) - want)) < 1e-10
 
 
 @pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z", "3x3-full-uniform_z"])
 def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
     if name in ("2x3-full-uniform_z", "3x3-full-uniform_z"):
-        # the largest quench of criterion 7, and the 2^18 full space of 1024 blocks
+        # the largest quench of criterion 7, and the star span of the 2^18 full space
         l1, size = (2, 32) if name.startswith("2x3") else (3, 256)
-        geo = lattice.build_lattice(l1, 3)
-        op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=0.3))
-        psi0 = stabilizer.ground_state(geo)
+        spec = ed.HamiltonianSpec(lattice.build_lattice(l1, 3), h=0.3)
+        op = ed.build_hamiltonian(spec, ed.build_block(spec))
+        psi0 = stabilizer.ground_state(spec.geometry, (0, 0), op.basis)
     else:
-        op, psi0 = block_case(name)
+        _, op, psi0 = block_case(name)
         size = BLOCK_CASES[name][-1]
     eigh = np.linalg.eigh
     sizes = []
@@ -736,106 +817,54 @@ def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     *_, state = ed.trajectory(psi0, op, [0.0, 0.5, 1.0, 3.0])
     assert sizes == [size]
-    # the state's block is the star orbit: every amplitude outside it stays 0
-    (positions,) = op.blocks(psi0.amplitudes)
-    assert ed.propagation(positions.size) == "spectrum"
-    outside = np.ones(op.dimension, dtype=bool)
-    outside[positions] = False
-    assert np.all(state.amplitudes[outside] == 0.0)
+    assert op.dimension == state.amplitudes.size == size
+    assert ed.propagation(op.dimension) == "spectrum"
 
 
 @pytest.fixture(scope="module")
 def krylov_quench_33():
-    """The 3x3 full-space ``split_HV`` quench: 8 blocks of 32,768 states."""
+    """The 3x3 ``split_HV`` quench: its 32,768-state block and the 2^18 full space."""
     geo = lattice.build_lattice(3, 3)
     spec = ed.HamiltonianSpec(geo, h=0.3, kappa=1.0, field_mode="split_HV")
-    return ed.build_hamiltonian(spec), stabilizer.ground_state(geo)
+    block = ed.build_hamiltonian(spec, ed.build_block(spec))
+    return block, stabilizer.ground_state(geo, (0, 0), block.basis), ed.build_hamiltonian(spec)
 
 
 def test_krylov_run_gathers_only_the_touched_block(krylov_quench_33, monkeypatch):
-    op, psi0 = krylov_quench_33
-    gathered = []
-    blocks = ed.HamiltonianOperator.blocks
-
-    def recording(self, amplitudes=None):
-        found = blocks(self, amplitudes)
-        gathered.append((amplitudes is None, [p.size for p in found]))
-        return found
-
-    restricted = []
-    restrict = ed.HamiltonianOperator.restrict
-
-    def recording_restrict(self, positions):
-        restricted.append(positions.size)
-        return restrict(self, positions)
-
-    spectra = []
+    op, psi0, _ = krylov_quench_33
+    assert op.dimension == 32768 and ed.propagation(op.dimension) == "krylov"
+    calls = []
     eigensystem = ed.HamiltonianOperator.eigensystem
+    dense = ed.HamiltonianOperator.dense
 
-    def recording_eigensystem(self, positions):
-        spectra.append(positions.size)
-        return eigensystem(self, positions)
+    def recording_eigensystem(self):
+        calls.append("eigensystem")
+        return eigensystem(self)
 
-    monkeypatch.setattr(ed.HamiltonianOperator, "blocks", recording)
-    monkeypatch.setattr(ed.HamiltonianOperator, "restrict", recording_restrict)
+    def recording_dense(self):
+        calls.append("dense")
+        return dense(self)
+
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording_eigensystem)
+    monkeypatch.setattr(ed.HamiltonianOperator, "dense", recording_dense)
     states = list(ed.trajectory(psi0, op, [0.0, 0.1, 0.2]))
-    assert len(states) == 3 and all(s.amplitudes.size == 1 << 18 for s in states)
-    # one block of the 8 is found and gathered, none is labelled beyond it,
-    # and the Krylov block takes no spectrum
-    assert gathered == [(False, [32768])]
-    assert restricted == [32768]
-    assert spectra == []
-    (positions,) = op.blocks(psi0.amplitudes)
-    with pytest.raises(ValueError, match="block of 32768 states exceeds the dense cap"):
-        op.eigensystem(positions)
-    assert restricted == [32768]  # refused before the block's matrix is built
+    assert len(states) == 3 and all(s.amplitudes.size == 32768 for s in states)
+    # the Krylov block takes no spectrum, and one is refused before its matrix is built
+    assert calls == []
+    with pytest.raises(ValueError, match="basis of 32768 states exceeds the dense cap"):
+        op.eigensystem()
+    assert calls == ["eigensystem"]
 
 
 def test_block_krylov_matches_whole_basis_krylov_on_3x3(krylov_quench_33):
-    # The touched block's operator against whole-basis Krylov on 2^18 states.
-    op, psi0 = krylov_quench_33
+    # The block's operator against whole-basis Krylov on 2^18 states.
+    op, psi0, whole = krylov_quench_33
+    start = stabilizer.StateVector(embed(psi0, whole.basis), whole.basis)
     times = [0.0, 0.1, 0.2]
     for t, state in zip(times, ed.trajectory(psi0, op, times)):
-        want = ed.evolve(psi0, op, t)
-        assert np.linalg.norm(state.amplitudes - want.amplitudes) < 1e-10
+        want = ed.evolve(start, whole, t)
+        assert np.linalg.norm(embed(state, whole.basis) - want.amplitudes) < 1e-10
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize(
-    "kwargs", [{"field_mode": "split_HV", "kappa": 1.0}, {"field_mode": "uniform_z"}]
-)
-def test_multi_block_noise_state_at_strong_field(monkeypatch, kwargs):
-    # A seeded random state touches every block of the 2x3 full space (8 of
-    # 512 states under split_HV, 128 of 32 under uniform_z). A rule that sends
-    # every other block to Krylov mixes both routes in one trajectory; each
-    # Krylov block steps a slice of norm well below 1.
-    geo = lattice.build_lattice(2, 3)
-    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=9.0, **kwargs))
-    rng = np.random.default_rng(71)
-    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-    noise = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    n_blocks = len(op.blocks(noise.amplitudes))
-    assert n_blocks == len(op.blocks()) > 1
-    routes = itertools.cycle(["krylov", "spectrum"])
-    monkeypatch.setattr(ed, "propagation", lambda dimension: next(routes))
-    spectra = []
-    eigensystem = ed.HamiltonianOperator.eigensystem
-
-    def recording(self, positions):
-        spectra.append(positions.size)
-        return eigensystem(self, positions)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
-    times = [0.0, 1.25, 2.5]
-    e0 = op.expectation(noise.amplitudes)
-    states = list(ed.trajectory(noise, op, times))
-    assert len(spectra) == n_blocks // 2
-    # 4,096 states is above the dense oracle's cap, so Krylov on the whole basis is the oracle
-    for t, state in zip(times, states):
-        whole = ed.evolve(noise, op, t)
-        assert np.linalg.norm(state.amplitudes - whole.amplitudes) < 1e-9
-        assert abs(op.expectation(state.amplitudes) - e0) < 1e-8
 
 
 def matvec_case(name):

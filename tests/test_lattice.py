@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from gf2_kernel import kernel_basis
 from toricsim import gf2, lattice
 
 
@@ -55,7 +56,7 @@ def _cycles_within(region: tuple[int, ...], constraint_supports) -> list[int]:
     ]
     return [
         gf2.mask(s for i, s in enumerate(region) if c >> i & 1)
-        for c in gf2.kernel_basis(vectors)
+        for c in kernel_basis(vectors)
     ]
 
 

@@ -210,9 +210,10 @@ def test_long_time_average_small_beta_stays_topological():
 
 
 def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
-    # Under uniform_z the 3x3 quench state touches one block of 256 of the
-    # 2^18 full-space states, so the run is spectral and the sweep reports
-    # the eigenbasis mean. Fewer long-time samples keep the sweep short.
+    # Under uniform_z the 3x3 quench state lies in a block of 256 of the
+    # 2^18 full-space states. The run builds only that block, so it is
+    # spectral, and the sweep reports the eigenbasis mean from all its
+    # long-time samples without a 2^18-entry array.
     eigh = np.linalg.eigh
     sizes = []
 
@@ -221,13 +222,24 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
         return eigh(mat)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    dims = recording_operators(monkeypatch)
     report = quench.run_quench(quench.QuenchConfig(L1=3, L2=3, h=0.1, t_max=0.2))
     assert report.metadata["basis_dimension"] == 1 << 18
+    assert report.metadata["block_dimension"] == 256
     assert report.metadata["propagation"] == "spectrum"
-    assert sizes == [256]
-    monkeypatch.setattr(quench, "_EIG_SAMPLES", 4)
+    assert sizes == [256] and dims == [256]
     config = quench.QuenchConfig(L1=3, L2=3, dt=0.5)
-    (row,) = quench.long_time_average(config, [0.05], (5.0, 10.0))
+    tracemalloc.start()
+    try:
+        (row,) = quench.long_time_average(config, [0.05], (5.0, 10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The 256-state eigh and its complex eigenvectors take about 2 MiB. A
+    # complex 2^18-entry state alone is 4 MiB; a float or index array of
+    # 2^18 entries, as the whole space's diagonal or positions, is 2 MiB.
+    assert peak < 3 << 20
+    assert sizes == [256, 256] and dims == [256, 256]
     assert row.eigenbasis_mean_s_top is not None
     assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
 
@@ -263,9 +275,9 @@ def test_sweep_takes_one_eigensystem_per_beta(monkeypatch):
     blocks = []
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def recording(self, positions):
-        blocks.append(positions.size)
-        return eigensystem(self, positions)
+    def recording(self):
+        blocks.append(self.dimension)
+        return eigensystem(self)
 
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
     assert quench.long_time_average(config, betas, window) == want
@@ -314,22 +326,22 @@ def recording_operators(monkeypatch):
 
 
 def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
-    # Only the run's own 1024-state sector operator is built. Krylov steps
-    # the whole sector; the trajectory takes the spectrum of the one
-    # touched 256-state block.
+    # The run's 256-state block operator and the 1024-state sector
+    # reference are built. Krylov steps the whole sector; the trajectory
+    # takes the spectrum of the block.
     calls = recording_evolve(monkeypatch)
     dims = recording_operators(monkeypatch)
     blocks = []
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def recording(self, positions):
-        blocks.append(positions.size)
-        return eigensystem(self, positions)
+    def recording(self):
+        blocks.append(self.dimension)
+        return eigensystem(self)
 
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
-    assert dims == [1024]
+    assert dims == [256, 1024]
     assert calls == [1024]
     assert blocks == [256]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
@@ -428,14 +440,16 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
     assert peaks[1] < 4 << 20
 
 
-@pytest.mark.parametrize("l1,l2,field,block_krylov", [
-    (2, 3, {}, []),
-    (3, 3, {}, []),
-    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, [32768]),
+@pytest.mark.parametrize("l1,l2,field,block,block_krylov", [
+    (2, 3, {}, 32, []),
+    (3, 3, {}, 256, []),
+    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, 32768, [32768]),
 ], ids=["2x3-uniform_z", "3x3-uniform_z", "3x3-split_HV"])
-def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field, block_krylov):
-    # A full-space config checks its own 2^N operator against Krylov on the
-    # whole basis, above the dense cap too. Under split_HV the touched block
+def test_verify_checks_propagation_on_the_full_space(
+    monkeypatch, l1, l2, field, block, block_krylov
+):
+    # A full-space config checks its block's propagation against Krylov on
+    # the whole 2^N basis, above the dense cap too. Under split_HV the block
     # is above the cap as well, so the trajectory steps it by Krylov.
     calls = recording_evolve(monkeypatch)
     dims = recording_operators(monkeypatch)
@@ -443,7 +457,7 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     assert ok, lines
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
-    assert dims == [1 << 2 * l1 * l2]
+    assert dims == [block, 1 << 2 * l1 * l2]
     assert calls == [*block_krylov, 1 << 2 * l1 * l2]
 
 
@@ -456,8 +470,8 @@ def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
     # and by no other.
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def perturbed(self, positions):
-        w, v = eigensystem(self, positions)
+    def perturbed(self):
+        w, v = eigensystem(self)
         return w + 1e-7 * np.linspace(1.0, 2.0, w.size), v
 
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", perturbed)
