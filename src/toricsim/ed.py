@@ -164,7 +164,9 @@ class HamiltonianOperator:
                 )
             weight = coef * op.phase.real
             if op.x_mask == 0:
-                diag += weight if signs is None else weight * signs
+                # An overflow is refused below, after the sum, without a warning.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    diag += weight if signs is None else weight * signs
                 continue
             offdiag.append((weight, perm, signs))
         if not np.isfinite(diag).all():

@@ -5,15 +5,18 @@ topological entropy of exactly 1. The reduced-matrix row index packs the
 region's spins in ascending order, least significant first, matching the
 global convention that bit j of a basis index is spin j.
 
-Every quantity runs on the state's own basis: amplitudes are scattered
-into a (region x complement) matrix by ``Basis.split_positions``, whose
-columns are only the complement configurations the basis holds. A
-1024-state sector of 18 spins splits into a 16 x 1024 matrix, not into
-2^18 amplitudes.
+Every quantity runs on the state's own basis. ``Basis.split_positions``
+groups its states by the cosets of the flips that lie inside the region:
+rho_A is block diagonal over these classes, and each class is one small
+(region x complement) block of a stack. On the 256-state 3x3 star block
+every ``levinwen-small`` region splits injectively, into one-row classes,
+and rho_A is diagonal; the full basis is a single class. No 2^N array
+and no 2^|A| x n_c matrix is formed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,53 +53,69 @@ class EntropyReport:
         return 0.5 * (self.s1 + self.s3 - self.s2 - self.s4)
 
 
-def _split_matrix(state: StateVector, region) -> np.ndarray:
-    """Amplitudes as a (region x complement) matrix, in the state's basis.
+def _split_matrix(state: StateVector, positions: np.ndarray, shape) -> np.ndarray:
+    """Amplitudes as a stack of (region x complement) blocks, one per coset class.
 
-    Row r holds the amplitudes with the region spins in configuration r,
-    region spins packed ascending and least significant first. Columns are
-    the complement configurations that occur in the basis, so a sector
-    state gives a 2^|A| x n_c matrix with n_c at most its dimension and no
-    2^N array is formed. The columns left out hold only zeros, so the
-    reduced matrix and the nonzero spectrum equal the full-space split's.
-    ``region`` comes from ``stabilizer.check_region``. A matrix above
-    ``2^stabilizer.BASIS_CAP_BITS`` entries is refused before it is allocated.
+    ``positions`` and ``shape`` come from ``Basis.split_positions``. Block
+    j holds the region configurations of one coset of the flips inside the
+    region and only the complement configurations they occur with, so
+    rho_A is the direct sum of the blocks' Gram matrices and no
+    2^|A| x n_c matrix is formed. Slots a kept basis leaves empty hold
+    zeros. A stack above ``2^stabilizer.BASIS_CAP_BITS`` entries is
+    refused before it is allocated.
     """
-    positions, n_cols = state.basis.split_positions(region)
-    size = (1 << len(region)) * n_cols
+    size = math.prod(shape)
     if size > 1 << BASIS_CAP_BITS:
         raise ValueError(f"region split of {size} entries is above the cap of 2^{BASIS_CAP_BITS}")
-    # Positions are distinct, so when they cover the matrix none stays unset.
-    mat = (np.empty if positions.size == size else np.zeros)(size, dtype=np.complex128)
-    mat[positions] = state.amplitudes
-    return mat.reshape(1 << len(region), n_cols)
+    # Positions are distinct, so when they cover the stack none stays unset.
+    stack = (np.empty if positions.size == size else np.zeros)(size, dtype=np.complex128)
+    stack[positions] = state.amplitudes
+    return stack.reshape(shape)
+
+
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """Each block times its own conjugate transpose."""
+    return stack @ stack.conj().transpose(0, 2, 1)
 
 
 def reduce(state: StateVector, region) -> np.ndarray:
     """Partial trace of |state><state| over everything outside the region.
 
-    Regions above ``DENSE_REGION_CAP`` spins are refused: the result is dense.
+    The coset blocks' Gram matrices are scattered into one dense
+    2^|A| x 2^|A| matrix, rows and columns packing the region spins
+    ascending. Regions above ``DENSE_REGION_CAP`` spins are refused.
     """
     region = check_region(region, state.n_spins)
     if len(region) > DENSE_REGION_CAP:
         raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
-    mat = _split_matrix(state, region)
-    return mat @ mat.conj().T
+    positions, (n_classes, rows, cols) = state.basis.split_positions(region)
+    gram = _gram(_split_matrix(state, positions, (n_classes, rows, cols)))
+    labels = np.full(n_classes * rows, -1, dtype=np.int64)
+    labels[positions // cols] = state.basis.region_rows(region)
+    labels = labels.reshape(n_classes, rows)
+    i, j = np.broadcast_arrays(labels[:, :, None], labels[:, None, :])
+    held = (i >= 0) & (j >= 0)
+    rho = np.zeros((1 << len(region),) * 2, dtype=np.complex128)
+    rho[i[held], j[held]] = gram[held]
+    return rho
 
 
 def region_spectrum(state: StateVector, region) -> np.ndarray:
     """Entanglement spectrum of a region, descending, without forming rho.
 
-    The squared singular values of the split amplitude matrix are the
-    nonzero reduced-matrix eigenvalues; they are taken as the eigenvalues
-    of the smaller side's Gram matrix, with round-off negatives clipped to
-    zero. Eigenvalues beyond the smaller split dimension are exact zeros
-    and are omitted.
+    The nonzero reduced-matrix eigenvalues are the squared singular values
+    of the coset blocks. One stacked ``eigvalsh`` takes them from the Gram
+    matrices of each block's smaller side, and round-off negatives are
+    clipped to zero. A one-row block is a single probability, the
+    injective case. The values number n_classes * min(rows, cols), for a
+    flip span no more than the smaller side of the 2^|A| x n_c split; the
+    eigenvalues omitted are exact zeros.
     """
-    mat = _split_matrix(state, check_region(region, state.n_spins))
-    if mat.shape[0] > mat.shape[1]:
-        mat = mat.T
-    return np.maximum(np.linalg.eigvalsh(mat @ mat.conj().T)[::-1], 0.0)
+    split = state.basis.split_positions(check_region(region, state.n_spins))
+    stack = _split_matrix(state, *split)
+    if stack.shape[1] > stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
+    return np.maximum(np.sort(np.linalg.eigvalsh(_gram(stack)), axis=None)[::-1], 0.0)
 
 
 def renyi(spectrum: np.ndarray, alpha: float) -> float:

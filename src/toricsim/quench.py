@@ -354,8 +354,8 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     without ``sector_restrict``, and every check but the propagation one
     runs there exactly: stars and plaquettes map the sector into itself, a
     single-spin X or Y maps each ground state outside it, where the state
-    vanishes, and the split matrices drop only zero columns. Only a
-    full-space config's propagation check builds a 2^N state.
+    vanishes, and the region splits place only the sector's amplitudes.
+    Only a full-space config's propagation check builds a 2^N state.
     """
     lines: list[str] = []
     ok = True

@@ -162,17 +162,36 @@ class Basis:
         found = kept[positions] == configs
         return positions, None if found.all() else found
 
-    def split_positions(self, region: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """Where each basis state sits in a (region x complement) matrix.
+    def region_rows(self, spins: tuple[int, ...]) -> np.ndarray:
+        """Each basis state's configuration of ``spins``, in basis order,
+        packed in the given order, least significant first."""
+        idx = self._indices()
+        rows = np.zeros_like(idx)
+        for i, s in enumerate(spins):
+            rows |= ((idx >> s) & 1) << i
+        return rows
+
+    def split_positions(
+        self, region: tuple[int, ...]
+    ) -> tuple[np.ndarray, tuple[int, int, int]]:
+        """Where each basis state sits in a stack of (region x complement) blocks.
 
         ``region`` is a tuple from ``check_region``. Returns
-        ``(positions, n_cols)``: basis state k belongs at flat position
-        ``positions[k]`` of a ``2^len(region) x n_cols`` matrix. Its row
-        packs the region spins ascending, least significant first; its
-        column counts, in ascending order, the complement configurations
-        that occur in the basis. For the full basis the map is a bit
-        permutation of 2^N entries, derived on each call and not kept; for
-        a kept basis it is memoised per region.
+        ``(positions, (n_classes, rows, cols))``: basis state k belongs at
+        flat position ``positions[k]`` of an ``n_classes x rows x cols``
+        array. Two basis states share a complement configuration only when
+        their region configurations differ by an element of F_A, the GF(2)
+        span of those differences in this basis. So the region
+        configurations fall into cosets of F_A, no complement configuration
+        meets two cosets, and the reduced matrix is block diagonal with one
+        block per coset class. Class j is the j-th coset in the order of its
+        reduced representative. A state's row is its region configuration's
+        bits at the pivots of F_A, so ``rows = 2^dim F_A``, and its column
+        counts the class's complement configurations in ascending order.
+        A GF(2) flip span tiles the stack exactly; other kept subsets leave
+        zero slots. The full basis is one class, a bit permutation of 2^N
+        entries with rows packed like ``region_rows``, derived on each call
+        and not kept; a kept basis memoises its map per region.
         """
         if self.kept_indices is None:
             # A bit permutation: each spin adds a fixed weight to the flat
@@ -187,16 +206,35 @@ class Basis:
                 weight[s] = 1 << j
             half = n // 2
             positions = _subset_sums(weight[half:])[:, None] + _subset_sums(weight[:half])
-            return positions.ravel(), 1 << len(rest)
+            return positions.ravel(), (1, 1 << len(region), 1 << len(rest))
         cached = self._split_cache.get(region)
         if cached is None:
-            kept = self.kept_indices
-            rows = np.zeros_like(kept)
-            for i, s in enumerate(region):
-                rows |= ((kept >> s) & 1) << i
+            rows = self.region_rows(region)
             rest_mask = ((1 << self.n_spins) - 1) ^ mask(region)
-            configs, cols = np.unique(kept & rest_mask, return_inverse=True)
-            cached = (rows * configs.size + cols, configs.size)
+            # Only np.unique with an index output: a plain one imports numpy.ma,
+            # about 15 ms in a fresh process.
+            _, column = np.unique(self.kept_indices & rest_mask, return_inverse=True)
+            ref = np.empty(column.max() + 1, dtype=np.int64)
+            ref[column] = rows  # one region row of each column
+            # F_A, in echelon form like gf2.row_reduce: each generator is the
+            # largest difference to a column's row left after the ones before.
+            generators = []
+            diff = rows ^ ref[column]
+            while (diff := diff[diff != 0]).size:
+                generators.append(int(diff.max()))
+                diff = np.minimum(diff, diff ^ generators[-1])
+            for g in generators:  # gf2.reduce_mod: each column's coset label
+                ref = np.minimum(ref, ref ^ g)
+            _, col_cls = np.unique(ref, return_inverse=True)
+            counts = np.bincount(col_cls)
+            # Columns are ascending within each class, so a stable sort ranks them.
+            col_rank = np.empty_like(col_cls)
+            col_rank[np.argsort(col_cls, kind="stable")] = (
+                np.arange(col_cls.size) - np.repeat(np.cumsum(counts) - counts, counts))
+            pivots = sorted(g.bit_length() - 1 for g in generators)
+            slot = self.region_rows(tuple(region[p] for p in pivots))
+            shape = (int(counts.size), 1 << len(generators), int(counts.max()))
+            cached = ((col_cls[column] * shape[1] + slot) * shape[2] + col_rank[column], shape)
             self._split_cache[region] = cached
         return cached
 

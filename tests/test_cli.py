@@ -4,6 +4,7 @@ import json
 import shlex
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,12 +190,14 @@ def test_physics_failure_exits_one(monkeypatch, tmp_path, capsys):
      "--h", "1e200", "--kappa", "1e200"],
     ["--l1", "2", "--l2", "2", "--h", "1e308"],
 ], ids=["field-weight", "diagonal"])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_hamiltonian_is_config_error(argv, tmp_path, capsys):
     # kappa*h overflows to inf; eight -h sigma^z terms sum to -inf on all-up
     out = tmp_path / "x.csv"
-    assert cli.main(["quench", *argv, "--t-max", "0", "--out", str(out)]) == 2
-    assert "not finite" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy may print no overflow warning
+        assert cli.main(["quench", *argv, "--t-max", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not finite" in err
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toricsim import ed, entanglement, lattice, stabilizer
+from toricsim import ed, entanglement, gf2, lattice, stabilizer
 
 
 def rho_oracle(amps, n, region):
@@ -377,13 +377,14 @@ def test_bases_of_equal_size_keep_their_own_split_maps():
     b = stabilizer.Basis(n, rng.choice(1 << n, size=40, replace=False))
     assert a != b
     region = (1, 4, 6)
-    pos_a, cols_a = a.split_positions(region)
-    pos_b, cols_b = b.split_positions(region)
-    for basis, pos, cols in ((a, pos_a, cols_a), (b, pos_b, cols_b)):
+    pos_a, (n_a, rows_a, cols_a) = a.split_positions(region)
+    pos_b, (n_b, rows_b, cols_b) = b.split_positions(region)
+    for basis, pos in ((a, pos_a), (b, pos_b)):
         state = random_in_basis(rng, basis)
         assert_matches_expanded_split(state, region)
         assert basis.split_positions(region)[0] is pos  # memoised on the instance
-    assert not (cols_a == cols_b and np.array_equal(pos_a, pos_b))
+    assert not ((n_a, rows_a, cols_a) == (n_b, rows_b, cols_b)
+                and np.array_equal(pos_a, pos_b))
 
 
 def test_full_basis_keeps_no_split_map():
@@ -424,14 +425,41 @@ def test_split_runs_on_a_40_spin_basis_without_2_to_the_n():
 
 
 def test_region_spectrum_refuses_oversized_split_before_allocating():
-    # A 30-spin region of a 40-spin kept basis would need 2^30 rows.
+    # A 30-spin region of a 64-state, 40-spin kept basis: its coset classes
+    # hold at most 64 entries, where the 2^|A| x n_c split needed 2^30 rows.
     rng = np.random.default_rng(239)
     kept = np.unique(rng.integers(0, 1 << 40, size=64, dtype=np.int64))
     state = random_in_basis(rng, stabilizer.Basis(40, kept))
+    region = tuple(range(30))
+    # Brute force over the region configurations that occur.
+    configs = kept & ((1 << 30) - 1)
+    labels, row = np.unique(configs, return_inverse=True)
+    rho = np.zeros((labels.size, labels.size), dtype=np.complex128)
+    for k in range(kept.size):
+        for l in range(kept.size):
+            if kept[k] >> 30 == kept[l] >> 30:
+                rho[row[k], row[l]] += state.amplitudes[k] * np.conj(state.amplitudes[l])
+    want = np.linalg.eigvalsh(rho)[::-1]
+    tracemalloc.start()
+    try:
+        lam = entanglement.region_spectrum(state, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert lam.size <= want.size
+    assert np.max(np.abs(lam - want[: lam.size])) < 1e-14
+    assert np.all(np.abs(want[lam.size :]) < 1e-14)
+    # 21 states share the complement, with region rows 0 and the 20 unit
+    # vectors, so F_A has 2^20 elements; one more state opens a second class
+    # and the stack of 2 x 2^20 x 1 entries is above the cap.
+    kept = [0] + [1 << i for i in range(20)] + [(1 << 30) | (1 << 20)]
+    state = random_in_basis(rng, stabilizer.Basis(40, kept))
+    assert state.basis.split_positions(region)[1] == (2, 1 << 20, 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="cap"):
-            entanglement.region_spectrum(state, tuple(range(30)))
+            entanglement.region_spectrum(state, region)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,3 +468,79 @@ def test_region_spectrum_refuses_oversized_split_before_allocating():
     geo = lattice.build_lattice(3, 3)
     lam = entanglement.region_spectrum(stabilizer.ground_state(geo), tuple(range(9)))
     assert abs(entanglement.renyi(lam, 2.0) - entanglement.renyi(lam, 1.0)) < 1e-12
+
+
+def test_star_block_splits_into_coset_classes(geo33):
+    # levinwen-small holds no star flip: every class is one row, rho_A diagonal.
+    # levinwen-ring's R2 holds one, so its classes are cosets of 2.
+    rng = np.random.default_rng(241)
+    basis = ed.build_block(ed.HamiltonianSpec(geo33, h=9.0))
+    assert basis.dimension == 256
+    state = random_in_basis(rng, basis)
+    small = lattice.build_partition(geo33, "levinwen-small")
+    ring = lattice.build_partition(geo33, "levinwen-ring")
+    rows = {}
+    for part in (small, ring):
+        for region in part.regions:
+            assert_matches_expanded_split(state, region)
+            n_classes, rows[part.label, region], cols = basis.split_positions(region)[1]
+            assert n_classes * rows[part.label, region] * cols == basis.dimension
+            # no more values than the smaller side of the 2^|A| x n_c split
+            n_c = np.unique(basis.kept_indices & ~gf2.mask(region)).size
+            lam = entanglement.region_spectrum(state, region)
+            assert lam.size <= min(1 << len(region), n_c)
+    assert {rows["levinwen-small", r] for r in small.regions} == {1}
+    assert sorted(rows["levinwen-ring", r] for r in ring.regions) == [1, 1, 1, 2]
+
+
+def test_split_hv_block_splits_into_cosets_of_four(geo33):
+    # The vertical-spin flips inside each region make every class four rows.
+    rng = np.random.default_rng(251)
+    spec = ed.HamiltonianSpec(geo33, h=9.0, kappa=1.0, field_mode="split_HV")
+    basis = ed.build_block(spec)
+    assert basis.dimension == 1 << 15
+    state = random_in_basis(rng, basis)
+    for region in lattice.build_partition(geo33, "levinwen-small").regions:
+        assert_matches_expanded_split(state, region)
+        n_classes, rows, cols = basis.split_positions(region)[1]
+        assert rows == 4 and n_classes * rows * cols == basis.dimension
+
+
+def test_full_and_arbitrary_bases_split_like_the_expanded_route(geo23):
+    rng = np.random.default_rng(257)
+    full = random_state(rng, geo23.n_spins)
+    # A random subset is no flip span: its classes leave zero-filled slots.
+    kept = rng.choice(1 << geo23.n_spins, size=300, replace=False)
+    odd = random_in_basis(rng, stabilizer.Basis(geo23.n_spins, kept))
+    regions = list(lattice.build_partition(geo23, "levinwen-small").regions)
+    regions += [tuple(sorted(rng.choice(geo23.n_spins, size=k, replace=False)))
+                for k in (1, 4, 6, 9, 11)]
+    padded = 0
+    for region in regions:
+        assert_matches_expanded_split(full, region)
+        assert full.basis.split_positions(region)[1] == (
+            1, 1 << len(region), 1 << (geo23.n_spins - len(region)))
+        assert_matches_expanded_split(odd, region)
+        positions, (n_classes, rows, cols) = odd.basis.split_positions(region)
+        padded += positions.size < n_classes * rows * cols
+    assert padded
+
+
+def test_4x4_sector_regions_follow_the_group_rule():
+    # The 2^17-state sector splits into one-row classes of 2^13 or 2^14
+    # columns; a 2^|A| x n_c split of 2^21 entries used to be refused.
+    geo = lattice.build_lattice(4, 4)
+    basis = ed.build_sector(geo)
+    assert basis.dimension == 1 << 17
+    psi = stabilizer.ground_state(geo, (0, 0), basis)
+    part = lattice.RegionPartition(
+        regions=((3, 10, 11, 18), (3, 10, 11), (5, 12, 13, 20), (5, 12, 13)), label="4x4")
+    want = [stabilizer.analytic_region_entropy(geo, r) for r in part.regions]
+    assert want == [4.0, 3.0, 4.0, 3.0]
+    for region in part.regions:
+        assert basis.split_positions(region)[1] == (1 << len(region), 1, 1 << (17 - len(region)))
+    for alpha in (1.0, 2.0):
+        report = entanglement.topological_entropy(psi, part, alpha)
+        got = [report.s1, report.s2, report.s3, report.s4]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+        assert abs(report.s_top - 1.0) < 1e-10
