@@ -157,9 +157,9 @@ def _cmd_entropy(args) -> int:
     geo = lattice.build_lattice(args.l1, args.l2)
     partition = lattice.build_partition(geo, args.preset)
     psi = stabilizer.ground_state(geo, _parse_sector(args.sector))
-    reports = [
-        entanglement.topological_entropy(psi, partition, a) for a in _parse_floats(args.alpha)
-    ]
+    alphas = _parse_floats(args.alpha)
+    series = entanglement.entropy_series((psi,), partition, alphas)
+    reports = [series[a][0] for a in alphas]
     text = entanglement.entropy_report_csv(reports, partition)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -10,7 +10,10 @@ or a run's block (``build_block``), the states the Hamiltonian's flips reach
 from all-up: 256 on 3x3, and 32,768 under the ``split_HV`` field.
 ``trajectory`` propagates within the dense cap through one
 eigendecomposition per call, and above it through an adaptive Krylov
-approximation of exp(-iHt), which ``evolve`` runs on any basis.
+approximation of exp(-iHt), which ``evolve`` runs on any basis. Every
+operator is real symmetric, so its eigenvectors stay real: a spectral
+sample is one real product with the float view of its complex
+coefficients, a quarter of the complex product's arithmetic.
 """
 
 from __future__ import annotations
@@ -198,15 +201,15 @@ class HamiltonianOperator:
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """``(w, vecs)`` of the operator, from one real ``eigh`` of ``dense()``.
 
-        The vectors are stored complex, like the states they act on. A basis
-        above the dense cap is refused before the ``eigh`` runs.
+        The operator is real symmetric, so the eigenvectors are real and kept
+        as the float64 columns ``eigh`` returns. A basis above the dense cap
+        is refused before the ``eigh`` runs.
         """
         if self.dimension > FULL_SPECTRUM_CAP:
             raise ValueError(
                 f"basis of {self.dimension} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
             )
-        w, vecs = np.linalg.eigh(self.dense())
-        return w, vecs.astype(np.complex128)
+        return np.linalg.eigh(self.dense())
 
 
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
@@ -261,23 +264,33 @@ def propagation(dimension: int) -> str:
     return "spectrum" if dimension <= FULL_SPECTRUM_CAP else "krylov"
 
 
+def _real_product(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``mat @ v`` for a real matrix and a complex vector, as one real
+    product with the ``(dim, 2)`` float view of ``v``."""
+    pairs = np.ascontiguousarray(v).view(np.float64).reshape(-1, 2)
+    return (mat @ pairs).view(np.complex128).ravel()
+
+
 def trajectory(
     state: StateVector, op: HamiltonianOperator, times: Sequence[float]
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
     The operator is propagated by ``propagation`` of its dimension: within
-    the dense cap the state is projected once on the eigenbasis of one
+    the dense cap the state is projected once on the real eigenbasis of one
     ``eigensystem`` call and each sample is built from the eigenphases;
-    above it ``evolve`` steps from one sample to the next.
+    above it ``evolve`` steps from one sample to the next. The projection
+    and each sample are real products with the ``(dim, 2)`` float view of
+    a complex vector, one sample per product, so a sample's bits do not
+    depend on how many times the call is given.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
     if propagation(op.dimension) == "spectrum":
         w, vecs = op.eigensystem()
-        coef = vecs.conj().T @ state.amplitudes
+        coef = _real_product(vecs.T, state.amplitudes)
         for t in times:
-            yield StateVector(vecs @ (coef * np.exp(-1j * w * t)), state.basis)
+            yield StateVector(_real_product(vecs, coef * np.exp(-1j * w * t)), state.basis)
         return
     for step in np.diff(times, prepend=0.0):
         state = evolve(state, op, step)

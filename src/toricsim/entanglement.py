@@ -12,23 +12,33 @@ rho_A is block diagonal over these classes, and each class is one small
 every ``levinwen-small`` region splits injectively, into one-row classes,
 and rho_A is diagonal; the full basis is a single class. No 2^N array
 and no 2^|A| x n_c matrix is formed.
+
+Every spectrum comes from one batched route: ``region_spectra`` takes a
+region's spectra for rows of amplitudes with one stacked Gram product and
+one stacked ``eigvalsh``, and ``renyi`` reads its entropies row by row.
+``entropy_series`` feeds a whole trajectory through it, a chunk of samples
+at a time, and shares each chunk's spectra across the Renyi indices.
+``region_spectrum`` and ``topological_entropy`` are its one-state cases.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .lattice import RegionPartition
-from .stabilizer import BASIS_CAP_BITS, StateVector, check_region
+from .stabilizer import BASIS_CAP_BITS, Basis, StateVector, check_region
 
 __all__ = [
     "EntropyReport",
     "reduce",
+    "region_spectra",
     "region_spectrum",
     "renyi",
+    "entropy_series",
     "topological_entropy",
     "fidelity",
     "entropy_report_csv",
@@ -36,6 +46,8 @@ __all__ = [
 
 DENSE_REGION_CAP = 14
 RANK_CUTOFF = 1e-12  # relative to the largest eigenvalue
+# Most amplitudes one chunk of ``entropy_series`` holds: 256 KiB of complex rows.
+CHUNK_AMPLITUDES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,24 +65,26 @@ class EntropyReport:
         return 0.5 * (self.s1 + self.s3 - self.s2 - self.s4)
 
 
-def _split_matrix(state: StateVector, positions: np.ndarray, shape) -> np.ndarray:
-    """Amplitudes as a stack of (region x complement) blocks, one per coset class.
+def _split_stack(amplitudes: np.ndarray, positions: np.ndarray, shape) -> np.ndarray:
+    """Rows of amplitudes as stacks of (region x complement) blocks, one per coset class.
 
-    ``positions`` and ``shape`` come from ``Basis.split_positions``. Block
-    j holds the region configurations of one coset of the flips inside the
-    region and only the complement configurations they occur with, so
-    rho_A is the direct sum of the blocks' Gram matrices and no
-    2^|A| x n_c matrix is formed. Slots a kept basis leaves empty hold
-    zeros. A stack above ``2^stabilizer.BASIS_CAP_BITS`` entries is
-    refused before it is allocated.
+    ``positions`` and ``shape`` come from ``Basis.split_positions``; the
+    result has shape ``(n, *shape)`` for ``n`` rows. Block j holds the
+    region configurations of one coset of the flips inside the region and
+    only the complement configurations they occur with, so rho_A is the
+    direct sum of the blocks' Gram matrices and no 2^|A| x n_c matrix is
+    formed. Slots a kept basis leaves empty hold zeros. A stack above
+    ``2^stabilizer.BASIS_CAP_BITS`` entries per row is refused before it is
+    allocated.
     """
     size = math.prod(shape)
     if size > 1 << BASIS_CAP_BITS:
         raise ValueError(f"region split of {size} entries is above the cap of 2^{BASIS_CAP_BITS}")
     # Positions are distinct, so when they cover the stack none stays unset.
-    stack = (np.empty if positions.size == size else np.zeros)(size, dtype=np.complex128)
-    stack[positions] = state.amplitudes
-    return stack.reshape(shape)
+    n = amplitudes.shape[0]
+    stack = (np.empty if positions.size == size else np.zeros)((n, size), dtype=np.complex128)
+    stack[:, positions] = amplitudes
+    return stack.reshape(n, *shape)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -89,7 +103,7 @@ def reduce(state: StateVector, region) -> np.ndarray:
     if len(region) > DENSE_REGION_CAP:
         raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
     positions, (n_classes, rows, cols) = state.basis.split_positions(region)
-    gram = _gram(_split_matrix(state, positions, (n_classes, rows, cols)))
+    gram = _gram(_split_stack(state.amplitudes[None], positions, (n_classes, rows, cols))[0])
     labels = np.full(n_classes * rows, -1, dtype=np.int64)
     labels[positions // cols] = state.basis.region_rows(region)
     labels = labels.reshape(n_classes, rows)
@@ -100,53 +114,123 @@ def reduce(state: StateVector, region) -> np.ndarray:
     return rho
 
 
-def region_spectrum(state: StateVector, region) -> np.ndarray:
-    """Entanglement spectrum of a region, descending, without forming rho.
+def region_spectra(amplitudes: np.ndarray, basis: Basis, region) -> np.ndarray:
+    """Entanglement spectra of a region for rows of amplitudes, each descending.
 
-    The nonzero reduced-matrix eigenvalues are the squared singular values
-    of the coset blocks. One stacked ``eigvalsh`` takes them from the Gram
-    matrices of each block's smaller side, and round-off negatives are
-    clipped to zero. A one-row block is a single probability, the
-    injective case. The values number n_classes * min(rows, cols), for a
-    flip span no more than the smaller side of the 2^|A| x n_c split; the
-    eigenvalues omitted are exact zeros.
+    ``amplitudes`` is ``(n, basis.dimension)``; the result is ``(n, k)``,
+    row i the spectrum of state i, without forming rho. The nonzero
+    reduced-matrix eigenvalues are the squared singular values of the
+    coset blocks: one stacked Gram product on each block's smaller side
+    and one stacked ``eigvalsh`` take them for every row at once, and
+    round-off negatives are clipped to zero. A one-row block is a single
+    probability, the injective case. k is n_classes * min(rows, cols), for
+    a flip span no more than the smaller side of the 2^|A| x n_c split;
+    the eigenvalues omitted are exact zeros.
     """
-    split = state.basis.split_positions(check_region(region, state.n_spins))
-    stack = _split_matrix(state, *split)
+    amplitudes = np.asarray(amplitudes)
+    if amplitudes.ndim != 2 or amplitudes.shape[1] != basis.dimension:
+        raise ValueError("amplitudes must be rows of the basis dimension")
+    stack = _split_stack(amplitudes, *basis.split_positions(check_region(region, basis.n_spins)))
+    n = stack.shape[0]
+    stack = stack.reshape(-1, *stack.shape[2:])
     if stack.shape[1] > stack.shape[2]:
         stack = stack.transpose(0, 2, 1)
-    return np.maximum(np.sort(np.linalg.eigvalsh(_gram(stack)), axis=None)[::-1], 0.0)
+    values = np.linalg.eigvalsh(_gram(stack)).reshape(n, -1)
+    return np.maximum(np.sort(values, axis=1)[:, ::-1], 0.0)
 
 
-def renyi(spectrum: np.ndarray, alpha: float) -> float:
-    """Renyi entropy of an entanglement spectrum, in bits.
+def region_spectrum(state: StateVector, region) -> np.ndarray:
+    """Entanglement spectrum of one state's region: ``region_spectra`` of one row."""
+    return region_spectra(state.amplitudes[None], state.basis, region)[0]
 
-    alpha = 1 is the von Neumann entropy with 0*log(0) = 0; other finite
-    positive alpha use (1/(1-alpha)) log2 sum(lambda^alpha). Eigenvalues
-    below the rank cutoff are treated as exact zeros, which also absorbs the
-    tiny negatives dense eigensolvers produce.
-    """
+
+def _check_alpha(alpha: float) -> None:
     if not 0 < alpha < np.inf:
         raise ValueError(f"Renyi index must be positive and finite, got {alpha!r}")
-    spectrum = np.asarray(spectrum, dtype=float)
-    lam = spectrum[spectrum > RANK_CUTOFF * max(spectrum.max(initial=0.0), 0.0)]
-    if lam.size == 0:
-        return 0.0
-    if alpha == 1.0:
-        return float(-np.sum(lam * np.log2(lam)))
-    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+
+
+def renyi(spectra: np.ndarray, alpha: float):
+    """Renyi entropy of each row of entanglement spectra, in bits.
+
+    alpha = 1 is the von Neumann entropy with 0*log(0) = 0; other finite
+    positive alpha use (1/(1-alpha)) log2 sum(lambda^alpha). Each row is
+    sorted descending, and its eigenvalues below the rank cutoff become
+    exact zeros at its tail; this also absorbs the tiny negatives dense
+    eigensolvers produce. A row is summed over its kept values only, so its
+    entropy does not depend on how many zeros follow them. A 1-D spectrum
+    gives a float, a 2-D stack one entropy per row.
+    """
+    _check_alpha(alpha)
+    spectra = np.asarray(spectra, dtype=float)
+    lam = np.sort(np.atleast_2d(spectra), axis=1)[:, ::-1]
+    kept = lam > RANK_CUTOFF * lam.max(axis=1, initial=0.0, keepdims=True)
+    lam = np.where(kept, lam, 0.0)
+    terms = lam * np.log2(np.where(kept, lam, 1.0)) if alpha == 1.0 else lam**alpha
+    counts = kept.sum(axis=1)
+    out = np.zeros(lam.shape[0])
+    for m in sorted(set(counts.tolist()) - {0}):
+        rows = counts == m
+        total = terms[rows, :m].sum(axis=1)
+        out[rows] = -total if alpha == 1.0 else np.log2(total) / (1.0 - alpha)
+    return out if spectra.ndim == 2 else float(out[0])
+
+
+def _chunks(states) -> Iterator[tuple[Basis, np.ndarray]]:
+    """Consecutive states as ``(basis, amplitudes)`` chunks of rows.
+
+    A chunk holds at most ``CHUNK_AMPLITUDES`` amplitudes and at least one
+    state. States are read one at a time and copied into one reused chunk,
+    so no more than a chunk of them is held. All states must share one
+    basis.
+    """
+    basis, rows, filled = None, None, 0
+    for state in states:
+        if basis is None:
+            basis = state.basis
+            rows = np.empty((max(1, CHUNK_AMPLITUDES // basis.dimension), basis.dimension),
+                            dtype=np.complex128)
+        elif state.basis is not basis and state.basis != basis:
+            raise ValueError("states use different bases")
+        rows[filled] = state.amplitudes
+        filled += 1
+        if filled == rows.shape[0]:
+            yield basis, rows
+            filled = 0
+    if filled:
+        yield basis, rows[:filled]
+
+
+def entropy_series(
+    states, partition: RegionPartition, alphas
+) -> dict[float, tuple[EntropyReport, ...]]:
+    """Entropies of the four partition regions for a series of states.
+
+    ``states`` is any iterable of StateVectors on one basis, consumed
+    lazily in chunks (``_chunks``). Each region's spectra are taken once
+    per chunk by ``region_spectra`` and serve every Renyi index. Returns
+    one EntropyReport per state for each index, in order. The combination
+    (S1 + S3 - S2 - S4)/2 of a report cancels boundary terms between the
+    matched region pairs, leaving the topological contribution.
+    """
+    alphas = tuple(alphas)
+    for alpha in alphas:
+        _check_alpha(alpha)
+    values = {alpha: [] for alpha in alphas}
+    for basis, amplitudes in _chunks(states):
+        spectra = [region_spectra(amplitudes, basis, r) for r in partition.regions]
+        for alpha in alphas:
+            values[alpha] += np.stack([renyi(s, alpha) for s in spectra], axis=1).tolist()
+    return {
+        alpha: tuple(EntropyReport(alpha, *row) for row in rows)
+        for alpha, rows in values.items()
+    }
 
 
 def topological_entropy(
     state: StateVector, partition: RegionPartition, alpha: float
 ) -> EntropyReport:
-    """Entropies of the four partition regions and their combination.
-
-    The combination (S1 + S3 - S2 - S4)/2 cancels boundary terms between
-    the matched region pairs, leaving the topological contribution.
-    """
-    s1, s2, s3, s4 = (renyi(region_spectrum(state, r), alpha) for r in partition.regions)
-    return EntropyReport(alpha=alpha, s1=s1, s2=s2, s3=s3, s4=s4)
+    """``entropy_series`` of one state at one Renyi index."""
+    return entropy_series((state,), partition, (alpha,))[alpha][0]
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -11,6 +11,9 @@ config's whole space, 2^N states or the plaquette sector, is only counted
 against the cap, reported, and built by ``verify`` as its reference. Every state comes from
 ``ed.trajectory``: a quench takes its grid from one call, and a sweep takes
 its window and its long-horizon samples from one call per field value.
+Every entropy comes from ``entanglement.entropy_series``, which reads
+those samples lazily, in chunks, and shares a chunk's region spectra
+across the Renyi indices.
 Every run checks its conservation against the fixed ``*_TOL`` tolerances.
 
 All emitted files are byte-identical across reruns of the same config: the
@@ -172,18 +175,21 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
 
     fid: list[float] = []
     energy: list[float] = []
-    entropy: dict[float, list[EntropyReport]] = {a: [] for a in config.alpha_list}
-    for t, state in zip(times, ed.trajectory(psi0, op, times)):
-        norm_err = abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
-        # Written as not (x <= tol) so that a NaN fails each check.
-        if not norm_err <= NORM_DRIFT_TOL:
-            raise RuntimeError(
-                f"norm drifted by {norm_err:.3e} at t={t:g} (tol {NORM_DRIFT_TOL:.1e})"
-            )
-        fid.append(entanglement.fidelity(psi0, state))
-        energy.append(op.expectation(state.amplitudes))
-        for a in config.alpha_list:
-            entropy[a].append(entanglement.topological_entropy(state, partition, a))
+
+    def checked():
+        """The trajectory, each sample's norm checked and its fidelity and energy kept."""
+        for t, state in zip(times, ed.trajectory(psi0, op, times)):
+            norm_err = abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
+            # Written as not (x <= tol) so that a NaN fails each check.
+            if not norm_err <= NORM_DRIFT_TOL:
+                raise RuntimeError(
+                    f"norm drifted by {norm_err:.3e} at t={t:g} (tol {NORM_DRIFT_TOL:.1e})"
+                )
+            fid.append(entanglement.fidelity(psi0, state))
+            energy.append(op.expectation(state.amplitudes))
+            yield state
+
+    entropy = entanglement.entropy_series(checked(), partition, config.alpha_list)
 
     if fid and not abs(fid[0] - 1.0) <= INITIAL_FIDELITY_TOL:
         raise RuntimeError(f"initial fidelity {fid[0]!r} differs from 1")
@@ -208,7 +214,7 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
         times=tuple(times),
         fidelity=tuple(fid),
         energy=tuple(energy),
-        entropy={a: tuple(entropy[a]) for a in config.alpha_list},
+        entropy=entropy,
         metadata=metadata,
     )
 
@@ -254,10 +260,8 @@ def long_time_average(
         spectral = ed.propagation(op.dimension) == "spectrum"
         stride = (t1 - t0) * _GOLDEN
         long_times = [t0 + j * stride for j in range(1, _EIG_SAMPLES + 1)] if spectral else []
-        values = [
-            entanglement.topological_entropy(state, partition, 2.0).s_top
-            for state in ed.trajectory(psi0, op, times + long_times)
-        ]
+        states = ed.trajectory(psi0, op, times + long_times)
+        values = [rep.s_top for rep in entanglement.entropy_series(states, partition, (2.0,))[2.0]]
         in_window, long_run = values[: len(times)], values[len(times) :]
         rows.append(
             SweepRow(
@@ -407,10 +411,8 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
             rdm_dev = max(rdm_dev, float(np.max(np.abs(m - mats[0]))))
     ok &= _check(lines, "sector indistinguishability", rdm_dev, 1e-10)
 
-    stop_dev = 0.0
-    for a in (1.0, 2.0):
-        rep = entanglement.topological_entropy(psi00, partition, a)
-        stop_dev = max(stop_dev, abs(rep.s_top - 1.0))
+    reports = entanglement.entropy_series((psi00,), partition, (1.0, 2.0))
+    stop_dev = max(abs(reps[0].s_top - 1.0) for reps in reports.values())
     ok &= _check(lines, "topological entropy = 1 bit", stop_dev, 1e-8)
 
     # The run's own propagation on its block, against Krylov on the whole space.

@@ -145,7 +145,9 @@ class Basis:
         signs = None
         if op.z_mask:
             signs = np.where(np.bitwise_count(idx & op.z_mask) & 1, -1.0, 1.0)
-        positions, valid = self._locate(idx ^ op.x_mask if op.x_mask else idx)
+        if not op.x_mask:  # a diagonal string keeps every state in place
+            return (idx if self.kept_indices is None else np.arange(idx.size)), signs, None
+        positions, valid = self._locate(idx ^ op.x_mask)
         return positions, signs, valid
 
     def _locate(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -225,12 +227,18 @@ class Basis:
                 diff = np.minimum(diff, diff ^ generators[-1])
             for g in generators:  # gf2.reduce_mod: each column's coset label
                 ref = np.minimum(ref, ref ^ g)
-            _, col_cls = np.unique(ref, return_inverse=True)
-            counts = np.bincount(col_cls)
-            # Columns are ascending within each class, so a stable sort ranks them.
-            col_rank = np.empty_like(col_cls)
-            col_rank[np.argsort(col_cls, kind="stable")] = (
-                np.arange(col_cls.size) - np.repeat(np.cumsum(counts) - counts, counts))
+            # One stable sort of the labels numbers the classes in label order
+            # and, columns being ascending within a class, ranks them in it.
+            order = np.argsort(ref, kind="stable")
+            labels = ref[order]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = labels[1:] != labels[:-1]
+            starts = np.flatnonzero(first)
+            counts = np.diff(starts, append=order.size)
+            col_cls = np.empty_like(order)
+            col_cls[order] = np.cumsum(first) - 1
+            col_rank = np.empty_like(order)
+            col_rank[order] = np.arange(order.size) - np.repeat(starts, counts)
             pivots = sorted(g.bit_length() - 1 for g in generators)
             slot = self.region_rows(tuple(region[p] for p in pivots))
             shape = (int(counts.size), 1 << len(generators), int(counts.max()))

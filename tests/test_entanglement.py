@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from toricsim import ed, entanglement, gf2, lattice, stabilizer
+from toricsim import ed, entanglement, gf2, lattice, quench, stabilizer
 
 
 def rho_oracle(amps, n, region):
@@ -544,3 +544,201 @@ def test_4x4_sector_regions_follow_the_group_rule():
         got = [report.s1, report.s2, report.s3, report.s4]
         assert np.max(np.abs(np.subtract(got, want))) < 1e-10
         assert abs(report.s_top - 1.0) < 1e-10
+
+
+def split_positions_oracle(basis, region):
+    """The kept-basis split map as first built: coset classes numbered by
+    ``np.unique`` of their labels, columns ranked by a second stable sort."""
+    rows = basis.region_rows(region)
+    rest_mask = ((1 << basis.n_spins) - 1) ^ gf2.mask(region)
+    _, column = np.unique(basis.kept_indices & rest_mask, return_inverse=True)
+    ref = np.empty(column.max() + 1, dtype=np.int64)
+    ref[column] = rows
+    generators = []
+    diff = rows ^ ref[column]
+    while (diff := diff[diff != 0]).size:
+        generators.append(int(diff.max()))
+        diff = np.minimum(diff, diff ^ generators[-1])
+    for g in generators:
+        ref = np.minimum(ref, ref ^ g)
+    _, col_cls = np.unique(ref, return_inverse=True)
+    counts = np.bincount(col_cls)
+    col_rank = np.empty_like(col_cls)
+    col_rank[np.argsort(col_cls, kind="stable")] = (
+        np.arange(col_cls.size) - np.repeat(np.cumsum(counts) - counts, counts))
+    pivots = sorted(g.bit_length() - 1 for g in generators)
+    slot = basis.region_rows(tuple(region[p] for p in pivots))
+    shape = (int(counts.size), 1 << len(generators), int(counts.max()))
+    return (col_cls[column] * shape[1] + slot) * shape[2] + col_rank[column], shape
+
+
+def test_split_map_matches_the_two_sort_construction(geo23, geo33):
+    rng = np.random.default_rng(263)
+    bases = [
+        ed.build_sector(geo33),
+        ed.build_block(ed.HamiltonianSpec(geo33, h=0.3)),
+        ed.build_block(ed.HamiltonianSpec(geo33, h=0.3, kappa=1.0, field_mode="split_HV")),
+        stabilizer.Basis(geo23.n_spins, rng.choice(1 << geo23.n_spins, size=300, replace=False)),
+    ]
+    for basis in bases:
+        geo = geo23 if basis.n_spins == geo23.n_spins else geo33
+        regions = [r for name in lattice.partition_presets(geo)
+                   for r in lattice.build_partition(geo, name).regions]
+        regions += [tuple(sorted(rng.choice(geo.n_spins, size=k, replace=False).tolist()))
+                    for k in (1, 5, geo.n_spins - 1)]
+        for region in regions:
+            positions, shape = basis.split_positions(region)
+            want_positions, want_shape = split_positions_oracle(basis, region)
+            assert shape == want_shape, region
+            assert np.array_equal(positions, want_positions), region
+
+
+def per_state_reports(states, partition, alphas):
+    """The per-state route: each state's region spectra by one ``eigvalsh``
+    of its coset blocks, and the Renyi entropy of the spectrum compressed
+    to its values above the cutoff, for each index. The oracle of
+    ``entropy_series``."""
+
+    def spectrum(state, region):
+        positions, shape = state.basis.split_positions(region)
+        stack = np.zeros(np.prod(shape), dtype=np.complex128)
+        stack[positions] = state.amplitudes
+        stack = stack.reshape(shape)
+        if shape[1] > shape[2]:
+            stack = stack.transpose(0, 2, 1)
+        gram = stack @ stack.conj().transpose(0, 2, 1)
+        return np.maximum(np.sort(np.linalg.eigvalsh(gram), axis=None)[::-1], 0.0)
+
+    def renyi(lam, alpha):
+        lam = lam[lam > entanglement.RANK_CUTOFF * max(lam.max(initial=0.0), 0.0)]
+        if lam.size == 0:
+            return 0.0
+        if alpha == 1.0:
+            return float(-np.sum(lam * np.log2(lam)))
+        return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+
+    reports = {alpha: [] for alpha in alphas}
+    for state in states:
+        spectra = [spectrum(state, region) for region in partition.regions]
+        for alpha in alphas:
+            reports[alpha].append(
+                entanglement.EntropyReport(alpha, *(renyi(lam, alpha) for lam in spectra)))
+    return {alpha: tuple(reps) for alpha, reps in reports.items()}
+
+
+def test_entropy_series_matches_the_per_state_route_across_chunks():
+    # 101 samples of the 256-state block fill one chunk of 64 states and
+    # part of a second; both presets, four Renyi indices, bit for bit.
+    config = quench.QuenchConfig(L1=3, L2=3, h=9.0, t_max=100.0, dt=1.0, sector_restrict=True)
+    _, _, psi0, op = quench._prepare(config)
+    assert op.dimension == 256 and entanglement.CHUNK_AMPLITUDES // 256 == 64
+    states = list(ed.trajectory(psi0, op, quench._time_grid(config.t_max, config.dt)))
+    assert len(states) == 101
+    alphas = (1.0, 2.0, 3.0, 0.5)
+    geo = lattice.build_lattice(3, 3)
+    for name in lattice.partition_presets(geo):
+        part = lattice.build_partition(geo, name)
+        assert entanglement.entropy_series(states, part, alphas) == per_state_reports(
+            states, part, alphas)
+
+
+def test_entropy_series_on_the_split_hv_block_takes_one_state_per_chunk(geo33):
+    # A 32,768-state state is more than a chunk's amplitudes, so each chunk
+    # holds that one state.
+    rng = np.random.default_rng(269)
+    basis = ed.build_block(ed.HamiltonianSpec(geo33, h=9.0, kappa=1.0, field_mode="split_HV"))
+    assert basis.dimension > entanglement.CHUNK_AMPLITUDES
+    states = [random_in_basis(rng, basis) for _ in range(3)]
+    part = lattice.build_partition(geo33, "levinwen-small")
+    rows = []
+    region_spectra = entanglement.region_spectra
+
+    def recording(amplitudes, basis, region):
+        rows.append(amplitudes.shape[0])
+        return region_spectra(amplitudes, basis, region)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entanglement, "region_spectra", recording)
+        got = entanglement.entropy_series(states, part, (1.0, 2.0))
+    assert rows == [1] * 12
+    assert got == per_state_reports(states, part, (1.0, 2.0))
+
+
+@pytest.mark.parametrize("alphas", [(2.0,), (1.0, 2.0, 3.0)])
+def test_region_spectra_are_built_once_per_region_per_chunk(geo33, monkeypatch, alphas):
+    basis = ed.build_block(ed.HamiltonianSpec(geo33, h=0.3))
+    rng = np.random.default_rng(271)
+    part = lattice.build_partition(geo33, "levinwen-small")
+    pulled = []
+
+    def states():
+        for _ in range(130):
+            pulled.append(1)
+            yield random_in_basis(rng, basis)
+
+    calls = []
+    region_spectra = entanglement.region_spectra
+
+    def recording(amplitudes, basis, region):
+        calls.append((amplitudes.shape[0], len(pulled)))
+        return region_spectra(amplitudes, basis, region)
+
+    monkeypatch.setattr(entanglement, "region_spectra", recording)
+    series = entanglement.entropy_series(states(), part, alphas)
+    assert sorted(series) == sorted(alphas)
+    assert all(len(reports) == 130 for reports in series.values())
+    # chunks of 64, 64 and 2 states, each read only once it is needed
+    assert calls == [(64, 64)] * 4 + [(64, 128)] * 4 + [(2, 130)] * 4
+
+
+def test_entropy_series_refuses_bad_indices_and_mixed_bases(geo22):
+    part = lattice.build_partition(geo22, "levinwen-small")
+    psi = stabilizer.ground_state(geo22)
+    pulled = []
+
+    def states():
+        pulled.append(1)
+        yield psi
+
+    for alpha in (0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="Renyi index"):
+            entanglement.entropy_series(states(), part, (1.0, alpha))
+    assert not pulled
+    sector = ed.build_sector(geo22).project(psi)
+    with pytest.raises(ValueError, match="bases"):
+        entanglement.entropy_series([psi, sector], part, (1.0,))
+    assert entanglement.entropy_series([], part, (1.0, 2.0)) == {1.0: (), 2.0: ()}
+
+
+def test_renyi_rows_ignore_trailing_zeros():
+    # Each row is summed over its kept values only, so zeros, round-off
+    # negatives and order leave a row's entropy bit for bit unchanged.
+    rng = np.random.default_rng(277)
+    for k in (1, 3, 7, 8, 9, 16, 100, 129):
+        lam = np.sort(rng.random(k))[::-1]
+        lam /= lam.sum()
+        padded = np.zeros((3, k + 40))
+        padded[0, :k] = lam
+        padded[1, 40:] = lam[::-1]
+        padded[2, :k] = lam
+        padded[2, k:] = -1e-17
+        for alpha in (1.0, 2.0, 3.0, 0.5):
+            want = entanglement.renyi(lam, alpha)
+            assert isinstance(want, float)
+            assert entanglement.renyi(padded, alpha).tolist() == [want] * 3
+    assert entanglement.renyi(np.zeros((2, 4)), 2.0).tolist() == [0.0, 0.0]
+
+
+def test_region_spectrum_is_one_row_of_region_spectra(geo33):
+    rng = np.random.default_rng(281)
+    basis = ed.build_sector(geo33)
+    states = [random_in_basis(rng, basis) for _ in range(5)]
+    amps = np.stack([s.amplitudes for s in states])
+    for region in lattice.build_partition(geo33, "levinwen-ring").regions:
+        spectra = entanglement.region_spectra(amps, basis, region)
+        assert spectra.shape[0] == 5
+        for state, row in zip(states, spectra):
+            assert np.array_equal(entanglement.region_spectrum(state, region), row)
+            assert np.all(np.diff(row) <= 0) and np.all(row >= 0)
+    with pytest.raises(ValueError, match="rows"):
+        entanglement.region_spectra(amps[0], basis, (0, 1))

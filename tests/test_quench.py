@@ -235,9 +235,10 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The 256-state eigh and its complex eigenvectors take about 2 MiB. A
-    # complex 2^18-entry state alone is 4 MiB; a float or index array of
-    # 2^18 entries, as the whole space's diagonal or positions, is 2 MiB.
+    # The 256-state eigh with its real eigenvectors and one chunk of 2^14
+    # sample amplitudes peak at about 1.4 MiB. A complex 2^18-entry state
+    # alone is 4 MiB; a float or index array of 2^18 entries, as the whole
+    # space's diagonal or positions, is 2 MiB.
     assert peak < 3 << 20
     assert sizes == [256, 256] and dims == [256, 256]
     assert row.eigenbasis_mean_s_top is not None

@@ -290,6 +290,28 @@ def test_apply_pauli_gather_equals_scatter_oracle(geo33, sector):
         assert np.array_equal(stabilizer.apply_pauli(op, state), scatter_apply_pauli(op, state))
 
 
+def test_diagonal_strings_keep_states_in_place_without_a_lookup(geo33, monkeypatch):
+    # A string with no X part maps each state to itself: the identity
+    # positions, the same as locating the basis in itself, with no search.
+    n = geo33.n_spins
+    ops = [pauli.single(n, "Z", j) for j in (0, 7)] + list(stabilizer.plaquette_operators(geo33))
+    bases = [stabilizer.Basis(n), ed.build_sector(geo33),
+             ed.build_block(ed.HamiltonianSpec(geo33, h=1.0, kappa=1.0, field_mode="split_HV"))]
+    want = [basis._locate(basis._indices()) for basis in bases]
+
+    def no_lookup(self, configs):
+        raise AssertionError("a diagonal string was looked up")
+
+    monkeypatch.setattr(stabilizer.Basis, "_locate", no_lookup)
+    for basis, (positions, found) in zip(bases, want):
+        assert found is None
+        for op in ops:
+            got, signs, valid = basis.pauli_action(op)
+            assert valid is None and np.array_equal(got, positions)
+            assert np.array_equal(signs, np.where(
+                np.bitwise_count(basis._indices() & op.z_mask) & 1, -1.0, 1.0))
+
+
 def test_expectation_matches_apply_pauli_route(geo22, geo23):
     rng = np.random.default_rng(211)
     states = [
