@@ -140,34 +140,32 @@ def _cmd_sweep(args) -> int:
         lines.append(
             f"{row.beta:.17g},{row.h:.17g},{row.mean_s_top:.17g},{row.std_s_top:.17g},{eig}"
         )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        print(f"{len(rows)} sweep rows written to {args.out}")
-    else:
-        print(text, end="")
+    _write(args.out, "\n".join(lines) + "\n", f"{len(rows)} sweep rows")
     return 0
 
 
 def _cmd_entropy(args) -> int:
-    from . import entanglement, lattice, stabilizer
+    from . import ed, entanglement, lattice, stabilizer
 
-    stabilizer.check_dimension(2 * args.l1 * args.l2, f"the {args.l1}x{args.l2} full space")
+    stabilizer.check_dimension(args.l1 * args.l2 + 1, f"the {args.l1}x{args.l2} plaquette sector")
     geo = lattice.build_lattice(args.l1, args.l2)
     partition = lattice.build_partition(geo, args.preset)
-    psi = stabilizer.ground_state(geo, _parse_sector(args.sector))
+    psi = stabilizer.ground_state(geo, _parse_sector(args.sector), ed.build_sector(geo))
     alphas = _parse_floats(args.alpha)
     series = entanglement.entropy_series((psi,), partition, alphas)
     reports = [series[a][0] for a in alphas]
-    text = entanglement.entropy_report_csv(reports, partition)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    _write(args.out, entanglement.entropy_report_csv(reports, partition), "entropies")
+    return 0
+
+
+def _write(out, text: str, what: str) -> None:
+    """Write ``text`` to the file ``out`` and say ``what`` went there, or print it."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        print(f"entropies written to {args.out}")
+        print(f"{what} written to {out}")
     else:
         print(text, end="")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

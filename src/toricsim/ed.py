@@ -138,14 +138,11 @@ class HamiltonianOperator:
     involution, so ``perm[perm]`` is the identity and ``matvec`` reads each
     term as the gather ``(signs * v)[perm]``. Terms with imaginary matrix
     elements (an odd number of Y factors) are refused, so every weight is a
-    float. On a kept basis each term must map the basis to itself; a full
-    basis above ``2^stabilizer.BASIS_CAP_BITS`` states is refused first, and
-    a diagonal that overflows to a non-finite value is refused.
+    float. On a kept basis each term must map the basis to itself, and a
+    diagonal that overflows to a non-finite value is refused.
     """
 
     def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
-        if basis.kept_indices is None:
-            check_dimension(basis.n_spins, f"the full space of {basis.n_spins} spins")
         self.basis = basis
         self.terms = tuple((float(c), op) for c, op in terms)
         diag = np.zeros(basis.dimension)

@@ -33,7 +33,7 @@ __all__ = [
     "save_state",
 ]
 
-# Largest basis that ``ground_state`` and ``ed.build_sector`` will build is
+# Largest full basis ``Basis`` admits, and largest flip span ``ed`` builds, is
 # 2^BASIS_CAP_BITS states: 16 MiB per complex state vector. Past it the
 # Hamiltonian's per-term index arrays alone run to gigabytes.
 BASIS_CAP_BITS = 20
@@ -65,14 +65,6 @@ def check_region(region, n_spins: int) -> tuple[int, ...]:
     return spins
 
 
-def _subset_sums(weights: list[int]) -> np.ndarray:
-    """Entry i is the sum of ``weights[b]`` over the set bits b of i."""
-    sums = np.zeros(1, dtype=np.int64)
-    for w in weights:
-        sums = np.concatenate([sums, sums + w])
-    return sums
-
-
 @lru_cache(maxsize=4)
 def _full_indices(n_spins: int) -> np.ndarray:
     """0 .. 2^n - 1 as one read-only array, shared by every full basis of n spins."""
@@ -85,9 +77,10 @@ def _full_indices(n_spins: int) -> np.ndarray:
 class Basis:
     """Computational-basis states of N spins that a state vector runs over.
 
-    ``kept_indices=None`` means all 2^N states in index order; otherwise
-    the basis is the given subset of full-space indices, stored sorted, as
-    for the plaquette-constrained sector. Bases compare by value.
+    ``kept_indices=None`` means all 2^N states in index order, refused
+    above ``2^BASIS_CAP_BITS`` states; otherwise the basis is the given
+    subset of full-space indices, stored sorted, as for the
+    plaquette-constrained sector. Bases compare by value.
     """
 
     n_spins: int
@@ -95,7 +88,9 @@ class Basis:
     _split_cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kept_indices is not None:
+        if self.kept_indices is None:
+            check_dimension(self.n_spins, f"the full space of {self.n_spins} spins")
+        else:
             kept = np.sort(np.asarray(self.kept_indices, dtype=np.int64))
             object.__setattr__(self, "kept_indices", kept)
 
@@ -122,7 +117,7 @@ class Basis:
 
     def project(self, state: "StateVector") -> "StateVector":
         """Restrict a full-space state that lives in this basis."""
-        if state.basis != Basis(self.n_spins):
+        if state.basis.kept_indices is not None or state.n_spins != self.n_spins:
             raise ValueError("can only project a full-basis state of matching size")
         amps = state.amplitudes[self._indices()]
         lost = 1.0 - float(np.sum(np.abs(amps) ** 2))
@@ -190,32 +185,17 @@ class Basis:
         reduced representative. A state's row is its region configuration's
         bits at the pivots of F_A, so ``rows = 2^dim F_A``, and its column
         counts the class's complement configurations in ascending order.
-        A GF(2) flip span tiles the stack exactly; other kept subsets leave
-        zero slots. The full basis is one class, a bit permutation of 2^N
-        entries with rows packed like ``region_rows``, derived on each call
-        and not kept; a kept basis memoises its map per region.
+        A GF(2) flip span tiles the stack exactly, the full basis is one
+        class of 2^|A| x 2^(N-|A|), and other kept subsets leave zero slots.
+        The map is memoised per region.
         """
-        if self.kept_indices is None:
-            # A bit permutation: each spin adds a fixed weight to the flat
-            # position. The low and the high half of the spins are summed
-            # apart into two 2^(N/2) tables, which broadcasting adds.
-            n = self.n_spins
-            rest = [s for s in range(n) if s not in region]
-            weight = [0] * n
-            for i, s in enumerate(region):
-                weight[s] = 1 << (len(rest) + i)
-            for j, s in enumerate(rest):
-                weight[s] = 1 << j
-            half = n // 2
-            positions = _subset_sums(weight[half:])[:, None] + _subset_sums(weight[:half])
-            return positions.ravel(), (1, 1 << len(region), 1 << len(rest))
         cached = self._split_cache.get(region)
         if cached is None:
             rows = self.region_rows(region)
             rest_mask = ((1 << self.n_spins) - 1) ^ mask(region)
             # Only np.unique with an index output: a plain one imports numpy.ma,
             # about 15 ms in a fresh process.
-            _, column = np.unique(self.kept_indices & rest_mask, return_inverse=True)
+            _, column = np.unique(self._indices() & rest_mask, return_inverse=True)
             ref = np.empty(column.max() + 1, dtype=np.int64)
             ref[column] = rows  # one region row of each column
             # F_A, in echelon form like gf2.row_reduce: each generator is the
@@ -287,10 +267,11 @@ def ground_state(
     ``sector = (w1, w2)``. All amplitudes on the orbit equal
     ``group_order**-0.5`` and the four sectors are orthonormal.
 
-    ``basis=None`` is the full 2^N space. A kept basis, such as the
-    plaquette sector from ``ed.build_sector``, must hold every orbit
-    configuration exactly; any other is refused with a ``ValueError``
-    before the amplitudes are allocated, and no 2^N array is formed.
+    ``basis=None`` is the full 2^N space, which ``Basis`` refuses above
+    the cap. A kept basis, such as the plaquette sector from
+    ``ed.build_sector``, must hold every orbit configuration exactly; any
+    other is refused with a ``ValueError`` before the amplitudes are
+    allocated, and no 2^N array is formed.
     """
     w1, w2 = sector
     if w1 not in (0, 1) or w2 not in (0, 1):
@@ -301,10 +282,7 @@ def ground_state(
     if basis.n_spins != n:
         raise ValueError(f"basis runs over {basis.n_spins} spins, the lattice has {n}")
     star_masks = [mask(sup) for sup in geometry.star_supports]
-    kept = basis.kept_indices
-    if kept is None:
-        check_dimension(n, f"the {geometry.L1}x{geometry.L2} full space")
-    elif 1 << rank(star_masks) > kept.size:
+    if 1 << rank(star_masks) > basis.dimension:
         raise ValueError("basis is smaller than the star-group orbit")
     shift = 0
     if w1:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toricsim import cli, quench, stabilizer
+from toricsim import cli, entanglement, lattice, quench, stabilizer
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -360,6 +360,7 @@ def test_sweep_writes_rows(tmp_path, capsys):
         ]
     )
     assert code == 0
+    assert capsys.readouterr().out == f"2 sweep rows written to {path}\n"
     lines = path.read_text().splitlines()
     assert lines[0] == "beta,h,mean_s_top,std_s_top,eigenbasis_mean_s_top"
     assert len(lines) == 3
@@ -383,6 +384,29 @@ def test_entropy_unknown_preset(capsys):
     assert cli.main(["entropy", "--l1", "2", "--l2", "2", "--preset", "huh"]) == 2
     err = capsys.readouterr().err
     assert "levinwen-small" in err
+
+
+def test_entropy_prints_the_full_space_entropies_from_the_sector(tmp_path, capsys):
+    # The CLI builds its ground states on the plaquette sector; the full
+    # space's four regions give the same bytes for every preset and sector.
+    alphas = (1.0, 2.0, 3.0, 0.5)
+    for l1, l2 in [(2, 2), (2, 3), (3, 3)]:
+        geo = lattice.build_lattice(l1, l2)
+        full = stabilizer.Basis(geo.n_spins)
+        for name in lattice.partition_presets(geo):
+            part = lattice.build_partition(geo, name)
+            for w1, w2 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+                psi = stabilizer.ground_state(geo, (w1, w2), full)
+                series = entanglement.entropy_series((psi,), part, alphas)
+                want = entanglement.entropy_report_csv([series[a][0] for a in alphas], part)
+                argv = ["entropy", "--l1", str(l1), "--l2", str(l2), "--preset", name,
+                        "--sector", f"{w1},{w2}", "--alpha", "1,2,3,0.5"]
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == want, (l1, l2, name, w1, w2)
+    path = tmp_path / "entropy.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == want.encode()
+    assert capsys.readouterr().out == f"entropies written to {path}\n"
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
@@ -421,3 +445,14 @@ def test_readme_cli_examples_run(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert cli.main(argv) == 0, argv
     assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.npz", "quench.csv", "sweep.csv"]
+
+
+def test_readme_python_sketches_run(tmp_path, monkeypatch, capsys):
+    # The second sketch reuses the first one's names, so they run as one.
+    text = README.read_text(encoding="utf-8")
+    blocks = [b.split("```")[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    exec(compile("".join(blocks), str(README), "exec"), {})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quench.csv"]
+    assert len(capsys.readouterr().out.splitlines()) == 3

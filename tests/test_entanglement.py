@@ -387,11 +387,31 @@ def test_bases_of_equal_size_keep_their_own_split_maps():
                 and np.array_equal(pos_a, pos_b))
 
 
-def test_full_basis_keeps_no_split_map():
-    state = random_state(np.random.default_rng(229), 10)
-    entanglement.region_spectrum(state, (2, 5, 7))
-    entanglement.reduce(state, (0, 9))
-    assert state.basis._split_cache == {}
+def bit_permutation_split(n_spins, region):
+    """The full basis's split map as a bit permutation: each spin adds a
+    fixed weight to the flat position, region spins packed ascending above
+    the complement spins. The oracle of the coset construction on 2^N."""
+    rest = [s for s in range(n_spins) if s not in region]
+    weight = [0] * n_spins
+    for i, s in enumerate(region):
+        weight[s] = 1 << (len(rest) + i)
+    for j, s in enumerate(rest):
+        weight[s] = 1 << j
+    positions = np.zeros(1, dtype=np.int64)
+    for w in weight:
+        positions = np.concatenate([positions, positions + w])
+    return positions, (1, 1 << len(region), 1 << len(rest))
+
+
+def test_full_basis_split_is_the_bit_permutation():
+    for geo, part in all_preset_cases():
+        basis = stabilizer.Basis(geo.n_spins)
+        for region in part.regions:
+            split = basis.split_positions(region)
+            want_positions, want_shape = bit_permutation_split(geo.n_spins, region)
+            assert split[1] == want_shape, (part.label, region)
+            assert np.array_equal(split[0], want_positions), (part.label, region)
+            assert basis.split_positions(region) is split  # memoised on the instance
 
 
 def test_split_runs_on_a_40_spin_basis_without_2_to_the_n():

@@ -421,6 +421,18 @@ def test_state_vector_validation(geo22):
         )
 
 
+def test_basis_refuses_a_full_space_above_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        stabilizer.Basis(stabilizer.BASIS_CAP_BITS + 1)
+    assert stabilizer.Basis(40, [3, 1]).dimension == 2
+    # a kept basis above the cap compares without building its full space
+    geo44 = lattice.build_lattice(4, 4)
+    sector = ed.build_sector(geo44)
+    psi = stabilizer.ground_state(geo44, (0, 0), sector)
+    with pytest.raises(ValueError, match="can only project a full-basis state"):
+        sector.project(psi)
+
+
 def test_same_basis(geo22, geo23):
     a = stabilizer.ground_state(geo22)
     b = stabilizer.ground_state(geo22, (1, 0))
