@@ -4,10 +4,11 @@ Hamiltonians are lists of weighted Pauli strings applied term by term, so a
 matvec costs O(terms * dimension) with only vector-sized memory. Each term
 is applied as a gather, which relies on every Pauli string being an
 involution: it sends state k to state j exactly when it sends j to k. The same
-engine drives any ``stabilizer.Basis``: the full 2^N space, or a GF(2)
-span of flips enumerated explicitly, the plaquette sector (``build_sector``)
-or a run's block (``build_block``), the states the Hamiltonian's flips reach
-from all-up: 256 on 3x3, and 32,768 under the ``split_HV`` field.
+engine drives any ``stabilizer.Basis``, a GF(2) span of flips: the full 2^N
+space, the plaquette sector (``build_sector``) or a run's block
+(``build_block``), the states the Hamiltonian's flips reach from all-up: 256
+on 3x3, and 32,768 under the ``split_HV`` field. A term's flip lies in the
+span, and its gather XORs every position with one constant, or it is refused.
 ``trajectory`` propagates within the dense cap through one
 eigendecomposition per call, and above it through an adaptive Krylov
 approximation of exp(-iHt), which ``evolve`` runs on any basis. Every
@@ -23,10 +24,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import mask, row_reduce, span
+from .gf2 import mask, row_reduce
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z, single
-from .stabilizer import Basis, StateVector, check_dimension
+from .stabilizer import Basis, StateVector, check_dimension, full_basis
 
 __all__ = [
     "HamiltonianSpec",
@@ -94,10 +95,10 @@ class HamiltonianSpec:
 
 
 def _flip_span(n_spins: int, flips, what: str) -> Basis:
-    """The basis of every XOR of ``flips``, refused above the cap before enumeration."""
+    """The basis of every XOR of ``flips``, refused above the cap as ``what``."""
     generators = row_reduce(flips)
     check_dimension(len(generators), what)
-    return Basis(n_spins, span(generators))
+    return Basis(n_spins, generators)
 
 
 def build_sector(geometry: LatticeGeometry) -> Basis:
@@ -138,8 +139,8 @@ class HamiltonianOperator:
     involution, so ``perm[perm]`` is the identity and ``matvec`` reads each
     term as the gather ``(signs * v)[perm]``. Terms with imaginary matrix
     elements (an odd number of Y factors) are refused, so every weight is a
-    float. On a kept basis each term must map the basis to itself, and a
-    diagonal that overflows to a non-finite value is refused.
+    float. A term whose flip leaves the basis's span, and so maps every
+    state out of it, is refused, as is a diagonal that overflows.
     """
 
     def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
@@ -156,8 +157,8 @@ class HamiltonianOperator:
                 raise ValueError(f"term {op} has imaginary matrix elements")
             if coef == 0.0:
                 continue
-            perm, signs, valid = basis.pauli_action(op)
-            if valid is not None:
+            perm, signs = basis.pauli_action(op)
+            if perm is None:
                 raise ValueError(
                     f"term {op} does not preserve the basis; "
                     "it fails to commute with a basis constraint"
@@ -217,7 +218,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     plaquettes (the uniform-z field), to restrict.
     """
     if basis is None:
-        basis = Basis(spec.geometry.n_spins)
+        basis = full_basis(spec.geometry.n_spins)
     return HamiltonianOperator(spec.term_list(), basis)
 
 

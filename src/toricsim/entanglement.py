@@ -5,8 +5,9 @@ topological entropy of exactly 1. The reduced-matrix row index packs the
 region's spins in ascending order, least significant first, matching the
 global convention that bit j of a basis index is spin j.
 
-Every quantity runs on the state's own basis. ``Basis.split_positions``
-groups its states by the cosets of the flips that lie inside the region:
+Every quantity runs on the state's own basis, a GF(2) span of flips.
+``Basis.split_positions`` groups its states by the cosets of the span's
+elements that lie inside the region:
 rho_A is block diagonal over these classes, and each class is one small
 (region x complement) block of a stack. On the 256-state 3x3 star block
 every ``levinwen-small`` region splits injectively, into one-row classes,
@@ -23,14 +24,13 @@ at a time, and shares each chunk's spectra across the Renyi indices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .lattice import RegionPartition
-from .stabilizer import BASIS_CAP_BITS, Basis, StateVector, check_region
+from .stabilizer import Basis, StateVector, check_region
 
 __all__ = [
     "EntropyReport",
@@ -73,16 +73,11 @@ def _split_stack(amplitudes: np.ndarray, positions: np.ndarray, shape) -> np.nda
     region configurations of one coset of the flips inside the region and
     only the complement configurations they occur with, so rho_A is the
     direct sum of the blocks' Gram matrices and no 2^|A| x n_c matrix is
-    formed. Slots a kept basis leaves empty hold zeros. A stack above
-    ``2^stabilizer.BASIS_CAP_BITS`` entries per row is refused before it is
-    allocated.
+    formed. A basis is a GF(2) span, so its positions tile the stack
+    exactly, one slot per basis state.
     """
-    size = math.prod(shape)
-    if size > 1 << BASIS_CAP_BITS:
-        raise ValueError(f"region split of {size} entries is above the cap of 2^{BASIS_CAP_BITS}")
-    # Positions are distinct, so when they cover the stack none stays unset.
     n = amplitudes.shape[0]
-    stack = (np.empty if positions.size == size else np.zeros)((n, size), dtype=np.complex128)
+    stack = np.empty((n, positions.size), dtype=np.complex128)
     stack[:, positions] = amplitudes
     return stack.reshape(n, *shape)
 
@@ -97,20 +92,19 @@ def reduce(state: StateVector, region) -> np.ndarray:
 
     The coset blocks' Gram matrices are scattered into one dense
     2^|A| x 2^|A| matrix, rows and columns packing the region spins
-    ascending. Regions above ``DENSE_REGION_CAP`` spins are refused.
+    ascending; each block row is a region configuration of the basis.
+    Regions above ``DENSE_REGION_CAP`` spins are refused.
     """
     region = check_region(region, state.n_spins)
     if len(region) > DENSE_REGION_CAP:
         raise ValueError(f"region has {len(region)} spins, dense cap is {DENSE_REGION_CAP}")
     positions, (n_classes, rows, cols) = state.basis.split_positions(region)
     gram = _gram(_split_stack(state.amplitudes[None], positions, (n_classes, rows, cols))[0])
-    labels = np.full(n_classes * rows, -1, dtype=np.int64)
+    labels = np.empty(n_classes * rows, dtype=np.int64)
     labels[positions // cols] = state.basis.region_rows(region)
     labels = labels.reshape(n_classes, rows)
-    i, j = np.broadcast_arrays(labels[:, :, None], labels[:, None, :])
-    held = (i >= 0) & (j >= 0)
     rho = np.zeros((1 << len(region),) * 2, dtype=np.complex128)
-    rho[i[held], j[held]] = gram[held]
+    rho[labels[:, :, None], labels[:, None, :]] = gram
     return rho
 
 

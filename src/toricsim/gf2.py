@@ -37,14 +37,17 @@ def row_reduce(vectors: Iterable[int]) -> list[int]:
     Returns
     -------
     list of int
-        A basis of the span with pairwise distinct leading bits, sorted in
-        decreasing order. Zero vectors are dropped, so ``len(result)`` is
-        the rank.
+        The reduced echelon basis of the span: pairwise distinct leading
+        bits, each set in its own vector only, sorted in decreasing order.
+        It depends on the span alone. Zero vectors are dropped, so
+        ``len(result)`` is the rank.
     """
     basis: list[int] = []
     for v in vectors:
         v = reduce_mod(basis, v)
         if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & top else b for b in basis]
             basis.append(v)
             basis.sort(reverse=True)
     return basis

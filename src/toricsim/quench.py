@@ -417,9 +417,9 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
 
     # The run's own propagation on its block, against Krylov on the whole space.
     _, _, psi0, op = _prepare(replace(config, h=config.h or 0.1))
-    space = basis if config.sector_restrict else stabilizer.Basis(geo.n_spins)
+    space = basis if config.sector_restrict else stabilizer.full_basis(geo.n_spins)
     amps = np.zeros((2, space.dimension), dtype=np.complex128)
-    amps[:, space._locate(op.basis.kept_indices)[0]] = (
+    amps[:, op.basis.region_rows(space.pivots)] = (
         psi0.amplitudes, next(ed.trajectory(psi0, op, [1.0])).amplitudes)
     whole = ed.evolve(stabilizer.StateVector(amps[0], space),
                       ed.HamiltonianOperator(op.terms, space), 1.0)

@@ -9,21 +9,27 @@ Products of star operators form a group G of order 2^(L1*L2 - 1); the one
 relation is that the product of all stars is the identity. The sector (0,0)
 ground state is the uniform superposition |G|^(-1/2) sum_g g|up...up>, and
 the other three sectors are reached by the two noncontractible X loops.
+
+Every state vector runs over a ``Basis``, a GF(2) span of flips applied to
+all-up. A Pauli string's flip either lies in the span, moving every
+position by one XOR, or sends the whole basis out of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections.abc import Iterable
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf2 import mask, rank, span
+from .gf2 import mask, rank, reduce_mod, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z
 
 __all__ = [
     "Basis",
+    "full_basis",
     "StateVector",
     "ground_state",
     "apply_pauli",
@@ -33,7 +39,7 @@ __all__ = [
     "save_state",
 ]
 
-# Largest full basis ``Basis`` admits, and largest flip span ``ed`` builds, is
+# Largest span ``Basis`` admits, the full space included, is
 # 2^BASIS_CAP_BITS states: 16 MiB per complex state vector. Past it the
 # Hamiltonian's per-term index arrays alone run to gigabytes.
 BASIS_CAP_BITS = 20
@@ -65,104 +71,102 @@ def check_region(region, n_spins: int) -> tuple[int, ...]:
     return spins
 
 
-@lru_cache(maxsize=4)
-def _full_indices(n_spins: int) -> np.ndarray:
-    """0 .. 2^n - 1 as one read-only array, shared by every full basis of n spins."""
-    indices = np.arange(1 << n_spins, dtype=np.int64)
-    indices.flags.writeable = False
-    return indices
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Basis:
-    """Computational-basis states of N spins that a state vector runs over.
+    """The computational states of N spins that a state vector runs over:
+    the GF(2) span of ``flips`` applied to all-up.
 
-    ``kept_indices=None`` means all 2^N states in index order, refused
-    above ``2^BASIS_CAP_BITS`` states; otherwise the basis is the given
-    subset of full-space indices, stored sorted, as for the
-    plaquette-constrained sector. Bases compare by value.
+    ``flips=None`` means every single-spin flip, the full space. The span
+    is stored as its reduced echelon ``generators`` (``gf2.row_reduce``),
+    which depend on the span alone, so bases compare by value. Basis states
+    run in ascending index order: doubling over the generators in ascending
+    leading-bit order enumerates them so, and a state's position is its
+    index's bits at those leading bits, the ``pivots``. No index is ever
+    searched for. A span above ``2^BASIS_CAP_BITS`` states is refused.
     """
 
     n_spins: int
-    kept_indices: np.ndarray | None = None
-    _split_cache: dict = field(default_factory=dict, init=False, repr=False)
+    flips: InitVar[Iterable[int] | None] = None
+    generators: tuple[int, ...] = field(init=False)
+    _split_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kept_indices is None:
-            check_dimension(self.n_spins, f"the full space of {self.n_spins} spins")
-        else:
-            kept = np.sort(np.asarray(self.kept_indices, dtype=np.int64))
-            object.__setattr__(self, "kept_indices", kept)
+    def __post_init__(self, flips):
+        what = f"the span of {self.n_spins}-spin flips"
+        if flips is None:
+            what = f"the full space of {self.n_spins} spins"
+            flips = (1 << s for s in range(self.n_spins))
+        generators = tuple(row_reduce(map(int, flips)))
+        check_dimension(len(generators), what)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def dimension(self) -> int:
-        if self.kept_indices is None:
-            return 1 << self.n_spins
-        return int(self.kept_indices.size)
+        return 1 << len(self.generators)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Basis):
-            return NotImplemented
-        if self.n_spins != other.n_spins:
-            return False
-        if self.kept_indices is None or other.kept_indices is None:
-            return self.kept_indices is other.kept_indices
-        return np.array_equal(self.kept_indices, other.kept_indices)
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The generators' leading bits, ascending: position bit i is index bit pivots[i]."""
+        return tuple(g.bit_length() - 1 for g in reversed(self.generators))
 
-    def _indices(self) -> np.ndarray:
-        """Full-space index of each basis state, in basis order."""
-        if self.kept_indices is None:
-            return _full_indices(self.n_spins)
-        return self.kept_indices
+    @cached_property
+    def kept_indices(self) -> np.ndarray:
+        """Full-space index of each basis state, ascending, as a read-only array."""
+        kept = np.zeros(self.dimension, dtype=np.int64)
+        for i, g in enumerate(reversed(self.generators)):
+            kept[1 << i : 2 << i] = kept[: 1 << i] ^ g
+        kept.flags.writeable = False
+        return kept
+
+    @cached_property
+    def _arange(self) -> np.ndarray:
+        """0 .. dimension - 1 as a read-only array: the positions a diagonal string keeps."""
+        positions = np.arange(self.dimension, dtype=np.int64)
+        positions.flags.writeable = False
+        return positions
+
+    def position(self, flip: int) -> int | None:
+        """Position of the state ``flip`` (a full-space index), None outside the span.
+
+        Flipping by an element x of the span sends the state at position k
+        to the one at ``k ^ position(x)``.
+        """
+        if reduce_mod(self.generators, flip):
+            return None
+        return sum(((flip >> p) & 1) << i for i, p in enumerate(self.pivots))
 
     def project(self, state: "StateVector") -> "StateVector":
         """Restrict a full-space state that lives in this basis."""
-        if state.basis.kept_indices is not None or state.n_spins != self.n_spins:
+        if state.basis.dimension != 1 << state.n_spins or state.n_spins != self.n_spins:
             raise ValueError("can only project a full-basis state of matching size")
-        amps = state.amplitudes[self._indices()]
+        amps = state.amplitudes[self.kept_indices]
         lost = 1.0 - float(np.sum(np.abs(amps) ** 2))
         if lost > PROJECT_TOL:
             raise ValueError(f"state carries weight {lost:.3e} outside the sector")
         return StateVector(amps / np.linalg.norm(amps), self)
 
-    def pauli_action(
-        self, op: PauliOperator
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    def pauli_action(self, op: PauliOperator) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Where a Pauli string sends each basis state, and with what sign.
 
-        Returns ``(positions, signs, valid)``: ``op`` maps basis state k to
+        Returns ``(positions, signs)``: ``op`` maps basis state k to
         ``op.phase * signs[k]`` times basis state ``positions[k]``. ``signs``
-        is None when ``op`` has no Z part (all signs +1), and ``valid`` is
-        None when every image lies in the basis; otherwise it marks the
-        states whose image does, and ``positions`` is meaningless elsewhere.
+        is None when ``op`` has no Z part (all signs +1). The X part either
+        lies in the span, and then maps the basis onto itself, or sends
+        every state out of it: ``positions`` is then None.
         """
-        idx = self._indices()
         signs = None
         if op.z_mask:
-            signs = np.where(np.bitwise_count(idx & op.z_mask) & 1, -1.0, 1.0)
-        if not op.x_mask:  # a diagonal string keeps every state in place
-            return (idx if self.kept_indices is None else np.arange(idx.size)), signs, None
-        positions, valid = self._locate(idx ^ op.x_mask)
-        return positions, signs, valid
-
-    def _locate(self, configs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Position in this basis of each full-space index in ``configs``.
-
-        Returns ``(positions, found)``: ``found`` is None when the basis
-        holds every config; otherwise it marks those it holds, and
-        ``positions`` is meaningless elsewhere.
-        """
-        kept = self.kept_indices
-        if kept is None:
-            return configs, None
-        positions = np.minimum(np.searchsorted(kept, configs), kept.size - 1)
-        found = kept[positions] == configs
-        return positions, None if found.all() else found
+            signs = np.where(np.bitwise_count(self.kept_indices & op.z_mask) & 1, -1.0, 1.0)
+        shift = self.position(op.x_mask)
+        if shift is None:
+            return None, signs
+        # A diagonal string keeps every state in place.
+        return (self._arange ^ shift if shift else self._arange), signs
 
     def region_rows(self, spins: tuple[int, ...]) -> np.ndarray:
         """Each basis state's configuration of ``spins``, in basis order,
-        packed in the given order, least significant first."""
-        idx = self._indices()
+        packed in the given order, least significant first. At another
+        basis's ``pivots`` they are the states' positions in that basis."""
+        idx = self.kept_indices
         rows = np.zeros_like(idx)
         for i, s in enumerate(spins):
             rows |= ((idx >> s) & 1) << i
@@ -185,9 +189,8 @@ class Basis:
         reduced representative. A state's row is its region configuration's
         bits at the pivots of F_A, so ``rows = 2^dim F_A``, and its column
         counts the class's complement configurations in ascending order.
-        A GF(2) flip span tiles the stack exactly, the full basis is one
-        class of 2^|A| x 2^(N-|A|), and other kept subsets leave zero slots.
-        The map is memoised per region.
+        A span tiles the stack exactly, and the full basis is one class of
+        2^|A| x 2^(N-|A|). The map is memoised per region.
         """
         cached = self._split_cache.get(region)
         if cached is None:
@@ -195,11 +198,11 @@ class Basis:
             rest_mask = ((1 << self.n_spins) - 1) ^ mask(region)
             # Only np.unique with an index output: a plain one imports numpy.ma,
             # about 15 ms in a fresh process.
-            _, column = np.unique(self._indices() & rest_mask, return_inverse=True)
+            _, column = np.unique(self.kept_indices & rest_mask, return_inverse=True)
             ref = np.empty(column.max() + 1, dtype=np.int64)
             ref[column] = rows  # one region row of each column
-            # F_A, in echelon form like gf2.row_reduce: each generator is the
-            # largest difference to a column's row left after the ones before.
+            # F_A in echelon form, as gf2.reduce_mod takes it: each generator is
+            # the largest difference to a column's row left after the ones before.
             generators = []
             diff = rows ^ ref[column]
             while (diff := diff[diff != 0]).size:
@@ -225,6 +228,12 @@ class Basis:
             cached = ((col_cls[column] * shape[1] + slot) * shape[2] + col_rank[column], shape)
             self._split_cache[region] = cached
         return cached
+
+
+@lru_cache(maxsize=4)
+def full_basis(n_spins: int) -> Basis:
+    """The full basis of ``n_spins`` spins: one instance per spin count, one set of split maps."""
+    return Basis(n_spins)
 
 
 @dataclass
@@ -267,52 +276,44 @@ def ground_state(
     ``sector = (w1, w2)``. All amplitudes on the orbit equal
     ``group_order**-0.5`` and the four sectors are orthonormal.
 
-    ``basis=None`` is the full 2^N space, which ``Basis`` refuses above
-    the cap. A kept basis, such as the plaquette sector from
-    ``ed.build_sector``, must hold every orbit configuration exactly; any
-    other is refused with a ``ValueError`` before the amplitudes are
-    allocated, and no 2^N array is formed.
+    ``basis=None`` is the shared ``full_basis``, which ``Basis`` refuses
+    above the cap. Any other basis, such as the plaquette sector from
+    ``ed.build_sector``, must hold every orbit configuration: the star flips
+    and the loop shift must lie in its span. The orbit is placed from their
+    positions, ``span(star positions) ^ shift position``, and no 2^N array
+    is formed.
     """
     w1, w2 = sector
     if w1 not in (0, 1) or w2 not in (0, 1):
         raise ValueError("sector labels must be bits")
     n = geometry.n_spins
     if basis is None:
-        basis = Basis(n)
+        basis = full_basis(n)
     if basis.n_spins != n:
         raise ValueError(f"basis runs over {basis.n_spins} spins, the lattice has {n}")
-    star_masks = [mask(sup) for sup in geometry.star_supports]
-    if 1 << rank(star_masks) > basis.dimension:
-        raise ValueError("basis is smaller than the star-group orbit")
-    shift = 0
-    if w1:
-        shift ^= mask(geometry.loop1_support)
-    if w2:
-        shift ^= mask(geometry.loop2_support)
-    elements = span(star_masks)
-    positions, found = basis._locate(np.fromiter((e ^ shift for e in elements), dtype=np.int64))
-    if found is not None:
+    stars = [basis.position(mask(sup)) for sup in geometry.star_supports]
+    shift = basis.position(w1 * mask(geometry.loop1_support) ^ w2 * mask(geometry.loop2_support))
+    if shift is None or None in stars:
         raise ValueError("basis does not hold every configuration of the star-group orbit")
+    positions = np.array(span(stars), dtype=np.int64) ^ shift
     amps = np.zeros(basis.dimension, dtype=np.complex128)
-    amps[positions] = 1.0 / np.sqrt(len(elements))
+    amps[positions] = 1.0 / np.sqrt(positions.size)
     return StateVector(amps, basis)
 
 
 def apply_pauli(op: PauliOperator, state: StateVector) -> np.ndarray:
     """Amplitudes of op|state| in the state's own basis.
 
-    For a sector basis, weight sent outside the sector is dropped, so the
-    result is the in-sector projection of the image.
+    A string whose flip leaves the span sends every state out of the basis,
+    so the in-basis projection of its image is zero.
     """
     amps = state.amplitudes
-    positions, signs, valid = state.basis.pauli_action(op)
+    positions, signs = state.basis.pauli_action(op)
+    if positions is None:
+        return np.zeros_like(amps)
     values = op.phase * (amps if signs is None else signs * amps)
-    # A Pauli string is an involution, and the states whose image stays in
-    # the basis are closed under it, so the image is a gather.
-    out = values[positions]
-    if valid is not None:
-        out[~valid] = 0
-    return out
+    # A Pauli string is an involution, so the image is a gather.
+    return values[positions]
 
 
 def residual(geometry: LatticeGeometry, state: StateVector) -> float:
@@ -324,16 +325,16 @@ def residual(geometry: LatticeGeometry, state: StateVector) -> float:
 def expectation(state: StateVector, op: PauliOperator) -> complex:
     """Exact <psi|op|psi> as phase * sum_k conj(psi[pos_k]) * sign_k * psi[k].
 
-    ``pos_k`` and ``sign_k`` come from ``Basis.pauli_action``; states whose
-    image leaves the basis drop out. No image vector is formed.
+    ``pos_k`` and ``sign_k`` come from ``Basis.pauli_action``. A string
+    whose flip leaves the span has expectation 0. No image vector is formed.
     """
     if op.n_spins != state.n_spins:
         raise ValueError("operator and state act on different spin counts")
     amps = state.amplitudes
-    positions, signs, valid = state.basis.pauli_action(op)
+    positions, signs = state.basis.pauli_action(op)
+    if positions is None:
+        return 0j
     values = amps if signs is None else signs * amps
-    if valid is not None:
-        positions, values = positions[valid], values[valid]
     return complex(op.phase * np.vdot(amps[positions], values))
 
 
@@ -359,6 +360,6 @@ def analytic_region_entropy(geometry: LatticeGeometry, region) -> float:
 
 def save_state(path, state: StateVector) -> None:
     """Binary amplitude dump for regression comparisons."""
-    kept = state.basis.kept_indices
-    extra = {} if kept is None else {"kept_indices": kept}
+    full = state.basis.dimension == 1 << state.n_spins
+    extra = {} if full else {"kept_indices": state.basis.kept_indices}
     np.savez(path, amplitudes=state.amplitudes, n_spins=state.n_spins, **extra)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from basis_oracle import locate
 from gf2_kernel import kernel_basis
 from pauli_algebra import apply_to_basis, commutes, pauli_multiply
 from toricsim import ed, gf2, lattice, pauli, stabilizer
@@ -94,7 +95,7 @@ def dense_samples(psi, op, times):
 def embed(state, space):
     """A state's amplitudes placed at their positions in ``space``, which
     holds every state of its basis."""
-    positions, found = space._locate(state.basis._indices())
+    positions, found = locate(space, state.basis.kept_indices)
     assert found is None
     out = np.zeros(space.dimension, dtype=np.complex128)
     out[positions] = state.amplitudes
@@ -114,7 +115,7 @@ def touched_block(spec, space):
     block, found without ``ed.build_block``: each state is labelled by its
     parities under every symmetry, and the block is the states that share
     the ground state's label."""
-    idx = space._indices()
+    idx = space.kept_indices
     labels = np.zeros(idx.size, dtype=np.int64)
     for z in symmetries(spec.term_list(), spec.geometry.n_spins):
         labels = 2 * labels + (np.bitwise_count(idx & z) & 1)
@@ -450,12 +451,12 @@ def test_sector_positions_and_project(geo22):
     kept = basis.kept_indices
     # a star maps the sector onto itself: positions locate each image
     star = stabilizer.star_operators(geo22)[0]
-    pos, signs, valid = basis.pauli_action(star)
-    assert signs is None and valid is None
+    pos, signs = basis.pauli_action(star)
+    assert signs is None
     assert np.array_equal(kept[pos], kept ^ star.x_mask)
     # a single flip leaves the sector from every state
-    _, _, valid = basis.pauli_action(pauli.pauli_x(geo22.n_spins, [0]))
-    assert valid is not None and not valid.any()
+    pos, _ = basis.pauli_action(pauli.pauli_x(geo22.n_spins, [0]))
+    assert pos is None
 
     full = stabilizer.ground_state(geo22)
     sec = basis.project(full)
@@ -563,7 +564,10 @@ def test_trajectory_spectral_branch_equals_evolve(geo22, sector):
         assert np.linalg.norm(state.amplitudes - want.amplitudes) < 1e-9
         count += 1
     assert count == len(times)
-    foreign = stabilizer.Basis(geo22.n_spins, np.arange(op.dimension))
+    # as many single flips: on one more spin when the basis is the full space
+    bits = op.dimension.bit_length() - 1
+    foreign = stabilizer.Basis(geo22.n_spins + (not sector), [1 << s for s in range(bits)])
+    assert foreign.dimension == op.dimension
     amps = np.full(op.dimension, op.dimension**-0.5)
     with pytest.raises(ValueError, match="bases"):
         next(ed.trajectory(stabilizer.StateVector(amps, foreign), op, times))
@@ -639,8 +643,9 @@ def test_evolve_errors(geo22):
     small = ed.build_hamiltonian(ed.HamiltonianSpec(geo22), ed.build_sector(geo22))
     with pytest.raises(ValueError, match="bases"):
         ed.evolve(state, small, 1.0)
-    # same dimension as the sector, but a different set of basis states
-    foreign = stabilizer.Basis(geo22.n_spins, np.arange(small.dimension))
+    # same dimension as the sector, but a different span of flips
+    foreign = stabilizer.Basis(geo22.n_spins, [1 << s for s in range(5)])
+    assert foreign.dimension == small.dimension
     amps = np.full(small.dimension, small.dimension**-0.5)
     with pytest.raises(ValueError, match="bases"):
         ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)
@@ -716,7 +721,7 @@ def test_blocks_come_from_commuting_z_strings(name):
         assert np.unique(np.bitwise_count(kept & z) & 1).size == 1
     assert block.dimension == BLOCK_CASES[name][-1]
     # no matrix element leaves the block, and its operator is its submatrix
-    positions, _ = whole.basis._locate(kept)
+    positions, _ = locate(whole.basis, kept)
     inside = np.zeros(whole.dimension, dtype=bool)
     inside[positions] = True
     mat = whole.dense()
@@ -739,17 +744,20 @@ def signed_flip_operator():
 
 def test_blocks_of_signed_flip_terms():
     # Y0·Y1 flips with a sign, so each coset of the flip span takes its
-    # slice of the signs.
+    # slice of the signs. A basis is a span, so coset ``shift`` is the span
+    # under the terms conjugated by the flip ``shift``: a term's Z part
+    # picks up the sign of its overlap with the shift.
     op = signed_flip_operator()
     mat = op.dense()
     columns = [op.matvec(one_hot(op.dimension, j)) for j in range(op.dimension)]
     assert np.array_equal(mat, np.column_stack(columns).real)
-    span = gf2.span(term.x_mask for _, term in op.terms)
-    assert sorted(span) == [0, 3, 5, 6, 24, 27, 29, 30]
+    span = stabilizer.Basis(5, [term.x_mask for _, term in op.terms])
+    assert span.kept_indices.tolist() == [0, 3, 5, 6, 24, 27, 29, 30]
     spectra = []
     for shift in (0, 4, 8, 12):
-        coset = ed.HamiltonianOperator(op.terms, stabilizer.Basis(5, [e ^ shift for e in span]))
-        kept = coset.basis.kept_indices
+        terms = [((-1) ** (term.z_mask & shift).bit_count() * c, term) for c, term in op.terms]
+        coset = ed.HamiltonianOperator(terms, span)
+        kept = span.kept_indices ^ shift
         assert np.array_equal(coset.dense(), mat[np.ix_(kept, kept)])
         spectra.append(coset.eigensystem()[0])
     merged = np.sort(np.concatenate(spectra))
@@ -769,7 +777,7 @@ def test_merged_block_spectrum_matches_dense_oracle(name):
     assert vecs.dtype == np.float64
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(block.dimension))) < 1e-12
     # each block eigenpair is one of the whole operator's
-    positions, _ = whole.basis._locate(block.basis.kept_indices)
+    positions, _ = locate(whole.basis, block.basis.kept_indices)
     for i in range(0, block.dimension, max(1, block.dimension // 4)):
         v = np.zeros(whole.dimension, dtype=np.complex128)
         v[positions] = vecs[:, i]

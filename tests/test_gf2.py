@@ -46,6 +46,9 @@ def test_row_reduce_echelon_shape():
         assert 0 not in leads
         assert leads == sorted(leads, reverse=True)
         assert len(set(leads)) == len(leads)
+        # reduced: each leading bit is set in its own vector only
+        for b, lead in zip(basis, leads):
+            assert [c for c in basis if c >> (lead - 1) & 1] == [b]
 
 
 def test_in_span_agrees_with_enumeration():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from basis_oracle import locate
 from pauli_algebra import commutes, pauli_multiply
 from toricsim import ed, entanglement, gf2, lattice, pauli, stabilizer
 
@@ -21,13 +22,9 @@ def spanset(masks):
 
 
 def amps_dict(state):
-    kept = state.basis.kept_indices
-    if kept is None:
-        idx = np.flatnonzero(state.amplitudes)
-        return {int(i): complex(state.amplitudes[i]) for i in idx}
     return {
         int(k): complex(a)
-        for k, a in zip(kept, state.amplitudes)
+        for k, a in zip(state.basis.kept_indices, state.amplitudes)
         if a != 0
     }
 
@@ -186,19 +183,27 @@ def test_sector_ground_state_is_the_full_state_restricted(l1, l2):
         assert np.max(np.abs(native.amplitudes - basis.project(full).amplitudes)) <= 1e-16
 
 
+def loop_masks(geo):
+    return [gf2.mask(geo.loop1_support), gf2.mask(geo.loop2_support)]
+
+
 def test_ground_state_refuses_a_basis_without_the_orbit(geo22):
-    basis = ed.build_sector(geo22)
-    kept = basis.kept_indices
-    orbit = sorted(spanset(star_masks(geo22)))
-    missing = stabilizer.Basis(geo22.n_spins, kept[kept != orbit[5]])
+    stars = star_masks(geo22)
+    # Without two stars the span lacks both: a star is the product of all
+    # the others, so one star fewer would span the same group.
+    missing = stabilizer.Basis(geo22.n_spins, stars[2:] + loop_masks(geo22))
+    for sector in SECTORS:
+        with pytest.raises(ValueError, match="every configuration"):
+            stabilizer.ground_state(geo22, sector, missing)
+    # the star span holds the (0,0) orbit but no loop shift
+    star_span = stabilizer.Basis(geo22.n_spins, stars)
+    assert star_span.dimension == len(spanset(stars))
+    psi = stabilizer.ground_state(geo22, (0, 0), star_span)
+    assert amps_dict(psi) == amps_dict(stabilizer.ground_state(geo22))
     with pytest.raises(ValueError, match="every configuration"):
-        stabilizer.ground_state(geo22, (0, 0), missing)
-    # the other sectors do not touch that configuration
-    stabilizer.ground_state(geo22, (1, 0), missing)
-    with pytest.raises(ValueError, match="smaller than"):
-        stabilizer.ground_state(geo22, (0, 0), stabilizer.Basis(geo22.n_spins, orbit[:-1]))
+        stabilizer.ground_state(geo22, (1, 0), star_span)
     with pytest.raises(ValueError, match="spins"):
-        stabilizer.ground_state(geo22, (0, 0), stabilizer.Basis(geo22.n_spins + 1, kept))
+        stabilizer.ground_state(geo22, (0, 0), stabilizer.Basis(geo22.n_spins + 1, stars))
     # an explicit full basis is the default, cap included
     full = stabilizer.ground_state(geo22, (1, 1), stabilizer.Basis(geo22.n_spins))
     assert np.array_equal(full.amplitudes, stabilizer.ground_state(geo22, (1, 1)).amplitudes)
@@ -219,9 +224,7 @@ def test_ground_state_4x4_on_the_sector():
     s_spec = entanglement.renyi(entanglement.region_spectrum(psi, region), 1.0)
     assert stabilizer.analytic_region_entropy(geo44, region) == 3.0
     assert abs(s_spec - 3.0) < 1e-12
-    kept = basis.kept_indices
-    one_config = int(np.flatnonzero(psi.amplitudes)[0])
-    missing = stabilizer.Basis(geo44.n_spins, np.delete(kept, one_config))
+    missing = stabilizer.Basis(geo44.n_spins, star_masks(geo44)[2:] + loop_masks(geo44))
     with pytest.raises(ValueError, match="every configuration"):
         stabilizer.ground_state(geo44, (1, 0), missing)
 
@@ -269,12 +272,10 @@ def random_sector_state(rng, basis):
 def scatter_apply_pauli(op, state):
     """The scatter form of ``apply_pauli``: the oracle of its gather."""
     amps = state.amplitudes
-    positions, signs, valid = state.basis.pauli_action(op)
-    values = op.phase * (amps if signs is None else signs * amps)
-    if valid is not None:
-        positions, values = positions[valid], values[valid]
+    positions, signs = state.basis.pauli_action(op)
     out = np.zeros_like(amps)
-    out[positions] = values
+    if positions is not None:
+        out[positions] = op.phase * (amps if signs is None else signs * amps)
     return out
 
 
@@ -290,26 +291,83 @@ def test_apply_pauli_gather_equals_scatter_oracle(geo33, sector):
         assert np.array_equal(stabilizer.apply_pauli(op, state), scatter_apply_pauli(op, state))
 
 
-def test_diagonal_strings_keep_states_in_place_without_a_lookup(geo33, monkeypatch):
+def test_diagonal_strings_keep_states_in_place_without_a_lookup(geo33):
     # A string with no X part maps each state to itself: the identity
-    # positions, the same as locating the basis in itself, with no search.
+    # positions, the same as locating the basis in itself. Every such string
+    # gets the basis's one read-only position array.
     n = geo33.n_spins
     ops = [pauli.single(n, "Z", j) for j in (0, 7)] + list(stabilizer.plaquette_operators(geo33))
     bases = [stabilizer.Basis(n), ed.build_sector(geo33),
              ed.build_block(ed.HamiltonianSpec(geo33, h=1.0, kappa=1.0, field_mode="split_HV"))]
-    want = [basis._locate(basis._indices()) for basis in bases]
-
-    def no_lookup(self, configs):
-        raise AssertionError("a diagonal string was looked up")
-
-    monkeypatch.setattr(stabilizer.Basis, "_locate", no_lookup)
-    for basis, (positions, found) in zip(bases, want):
+    for basis in bases:
+        positions, found = locate(basis, basis.kept_indices)
         assert found is None
+        shared, _ = basis.pauli_action(ops[0])
+        assert not shared.flags.writeable
         for op in ops:
-            got, signs, valid = basis.pauli_action(op)
-            assert valid is None and np.array_equal(got, positions)
+            got, signs = basis.pauli_action(op)
+            assert got is shared and np.array_equal(got, positions)
             assert np.array_equal(signs, np.where(
-                np.bitwise_count(basis._indices() & op.z_mask) & 1, -1.0, 1.0))
+                np.bitwise_count(basis.kept_indices & op.z_mask) & 1, -1.0, 1.0))
+
+
+def oracle_cases(geo22, geo23, geo33):
+    """``(basis, flips)`` pairs: the full bases and sectors of 2x2, 2x3 and
+    3x3, both 3x3 blocks, and random flip sets on up to 12 spins."""
+    cases = []
+    for geo in (geo22, geo23, geo33):
+        n = geo.n_spins
+        cases.append((stabilizer.Basis(n), [1 << s for s in range(n)]))
+        cases.append((ed.build_sector(geo), star_masks(geo) + loop_masks(geo)))
+    for field in ({}, {"field_mode": "split_HV", "kappa": 1.0}):
+        spec = ed.HamiltonianSpec(geo33, h=1.0, **field)
+        flips = [op.x_mask for c, op in spec.term_list() if c and op.x_mask]
+        cases.append((ed.build_block(spec), flips))
+    rng = np.random.default_rng(307)
+    for n in (1, 4, 8, 12):
+        for count in (0, 1, 3, n, 2 * n):
+            flips = [int(x) for x in rng.integers(0, 1 << n, size=count)]
+            cases.append((stabilizer.Basis(n, flips), flips))
+    return cases
+
+
+def oracle_operators(basis, rng):
+    """Every single-spin X, Y and Z, every term of both field modes on a
+    lattice basis, and random strings on the others."""
+    n = basis.n_spins
+    ops = [pauli.single(n, kind, j) for kind in "XYZ" for j in range(n)]
+    geo = {8: lattice.build_lattice(2, 2), 12: lattice.build_lattice(2, 3),
+           18: lattice.build_lattice(3, 3)}.get(n)
+    if geo is not None:
+        for field in ({}, {"field_mode": "split_HV", "kappa": 1.0}):
+            ops += [op for _, op in ed.HamiltonianSpec(geo, h=1.0, **field).term_list()]
+    ops += [pauli.PauliOperator(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                                int(rng.integers(4))) for _ in range(8)]
+    return ops
+
+
+def test_pivot_positions_match_the_search_oracle(geo22, geo23, geo33):
+    # A basis is the span of its flips, ascending, and it places a Pauli
+    # string's images by pivot bits where the oracle searches for them: the
+    # same positions, None exactly when no state's image is found, and
+    # never a partial image.
+    rng = np.random.default_rng(311)
+    for basis, flips in oracle_cases(geo22, geo23, geo33):
+        kept = basis.kept_indices
+        assert np.array_equal(kept, np.sort(gf2.span(flips)))
+        assert basis == stabilizer.Basis(basis.n_spins, flips)
+        for op in oracle_operators(basis, rng):
+            positions, signs = basis.pauli_action(op)
+            want, found = locate(basis, kept ^ op.x_mask)
+            if positions is None:
+                assert found is not None and not found.any(), op
+            else:
+                assert found is None and np.array_equal(positions, want), op
+            if op.z_mask:
+                assert np.array_equal(
+                    signs, np.where(np.bitwise_count(kept & op.z_mask) & 1, -1.0, 1.0))
+            else:
+                assert signs is None
 
 
 def test_expectation_matches_apply_pauli_route(geo22, geo23):
@@ -422,10 +480,12 @@ def test_state_vector_validation(geo22):
 
 
 def test_basis_refuses_a_full_space_above_the_cap():
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match="full space of 21 spins has 2\\^21"):
         stabilizer.Basis(stabilizer.BASIS_CAP_BITS + 1)
-    assert stabilizer.Basis(40, [3, 1]).dimension == 2
-    # a kept basis above the cap compares without building its full space
+    with pytest.raises(ValueError, match="cap"):
+        stabilizer.Basis(40, [1 << s for s in range(stabilizer.BASIS_CAP_BITS + 1)])
+    assert stabilizer.Basis(40, [3, 1]).dimension == 4
+    # a span of more spins than the cap is not taken for a full basis
     geo44 = lattice.build_lattice(4, 4)
     sector = ed.build_sector(geo44)
     psi = stabilizer.ground_state(geo44, (0, 0), sector)
@@ -443,8 +503,9 @@ def test_same_basis(geo22, geo23):
     s = basis.project(a)
     assert a.basis != s.basis
     assert s.basis == basis.project(b).basis
+    # a span compares by its reduced generators, whatever flips gave it
     assert s.basis == stabilizer.Basis(geo22.n_spins, basis.kept_indices[::-1])
-    assert s.basis != stabilizer.Basis(geo22.n_spins, basis.kept_indices[:-1])
+    assert s.basis != stabilizer.Basis(geo22.n_spins, basis.generators[1:])
 
 
 def test_save_load_round_trip(tmp_path, geo22):
@@ -467,10 +528,20 @@ def test_save_load_round_trip(tmp_path, geo22):
         assert np.array_equal(data["amplitudes"], sec.amplitudes)
 
 
-def test_full_bases_share_one_read_only_index_array():
-    a, b = stabilizer.Basis(10), stabilizer.Basis(10)
-    assert a._indices() is b._indices()
-    assert not a._indices().flags.writeable
-    assert np.array_equal(a._indices(), np.arange(1 << 10))
-    kept = np.array([3, 1, 7])
-    assert np.array_equal(stabilizer.Basis(10, kept)._indices(), [1, 3, 7])
+def test_full_ground_states_share_one_basis(geo33):
+    # Every full-space state and operator of one spin count runs on one
+    # basis, so the sectors' entropies derive each region's split map once.
+    a = stabilizer.ground_state(geo33, (0, 0))
+    b = stabilizer.ground_state(geo33, (1, 1))
+    assert a.basis is b.basis is stabilizer.full_basis(geo33.n_spins)
+    assert ed.build_hamiltonian(ed.HamiltonianSpec(geo33)).basis is a.basis
+    kept = a.basis.kept_indices
+    assert not kept.flags.writeable and np.array_equal(kept, np.arange(1 << geo33.n_spins))
+    part = lattice.build_partition(geo33, "levinwen-small")
+    a.basis._split_cache.clear()
+    maps = []
+    for state in (a, b):
+        assert entanglement.topological_entropy(state, part, 1.0).s_top == pytest.approx(1.0)
+        maps.append([state.basis.split_positions(r) for r in part.regions])
+    assert sorted(a.basis._split_cache) == sorted(part.regions)
+    assert all(x is y for x, y in zip(*maps))

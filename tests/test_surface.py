@@ -112,3 +112,48 @@ def recursive(n): return recursive(n - 1) if n else 0
     assert _referenced("mod", "lonely", trees, {"span": ("mod", "lonely")})
     trees["other"] = ast.parse("import mod\nmod.lonely()\n")
     assert _referenced("mod", "lonely", trees, {})
+
+
+def foreign_private_reads(tree) -> list[str]:
+    """Underscore attributes a module reads without defining them itself.
+
+    A module defines a name by a ``def`` or ``class`` of it, or by assigning
+    it, as a plain name or as an attribute. Dunders are not private.
+    """
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+    return [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.endswith("__")
+        and node.attr not in defined
+    ]
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # Each module reaches the others through their public names only, so a
+    # basis's internals, such as how it places states, stay in stabilizer.
+    found = {
+        p.stem: reads
+        for p in sorted((ROOT / "src" / "toricsim").glob("*.py"))
+        if (reads := foreign_private_reads(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert not found, f"private attributes read across modules: {found}"
+
+
+def test_private_read_guard_flags_a_foreign_underscore_attribute():
+    src = """
+class Box:
+    _size = 1
+    def grow(self):
+        self._extra = other._hidden + self._size + self.__dict__["x"]
+        return self._extra
+"""
+    assert foreign_private_reads(ast.parse(src)) == ["line 5: ._hidden"]
