@@ -15,7 +15,6 @@ environment variables before numpy comes in.
 """
 
 from importlib import import_module
-from importlib import metadata as _metadata
 
 _SUBMODULES = (
     "gf2",
@@ -30,10 +29,8 @@ _SUBMODULES = (
 
 __all__ = list(_SUBMODULES) + ["__version__"]
 
-try:
-    __version__ = _metadata.version("toricsim")
-except _metadata.PackageNotFoundError:
-    __version__ = "unknown"
+# The one place the version is written: pyproject.toml reads it from here.
+__version__ = "0.1.0"
 
 
 def __getattr__(name):

@@ -82,7 +82,8 @@ class Basis:
     run in ascending index order: doubling over the generators in ascending
     leading-bit order enumerates them so, and a state's position is its
     index's bits at those leading bits, the ``pivots``. No index is ever
-    searched for. A span above ``2^BASIS_CAP_BITS`` states is refused.
+    searched for. A flip with a bit at or above ``n_spins`` is refused, as
+    is a span above ``2^BASIS_CAP_BITS`` states.
     """
 
     n_spins: int
@@ -95,7 +96,13 @@ class Basis:
         if flips is None:
             what = f"the full space of {self.n_spins} spins"
             flips = (1 << s for s in range(self.n_spins))
-        generators = tuple(row_reduce(map(int, flips)))
+        flips = [int(x) for x in flips]
+        # A negative int has every high bit set, so it is refused here too.
+        if any(x >> self.n_spins for x in flips):
+            raise ValueError(
+                f"a flip of {self.n_spins} spins has a bit at or above bit {self.n_spins}"
+            )
+        generators = tuple(row_reduce(flips))
         check_dimension(len(generators), what)
         object.__setattr__(self, "generators", generators)
 

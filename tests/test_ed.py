@@ -8,7 +8,7 @@ import pytest
 from basis_oracle import locate
 from gf2_kernel import kernel_basis
 from pauli_algebra import apply_to_basis, commutes, pauli_multiply
-from toricsim import ed, gf2, lattice, pauli, stabilizer
+from toricsim import ed, gf2, lattice, pauli, quench, stabilizer
 
 # Start vectors of the Lanczos oracle come from this seed; the library
 # itself draws no random numbers.
@@ -806,6 +806,9 @@ def test_block_trajectory_matches_complex_oracle_to_t100(name):
 
 @pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z", "3x3-full-uniform_z"])
 def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
+    # The quench state's own block is its closed Krylov space: the
+    # trajectory diagonalizes the tridiagonal matrix of each Lanczos vector,
+    # the last one that block's, and never the operator's dense matrix.
     if name in ("2x3-full-uniform_z", "3x3-full-uniform_z"):
         # the largest quench of criterion 7, and the star span of the 2^18 full space
         l1, size = (2, 32) if name.startswith("2x3") else (3, 256)
@@ -823,10 +826,135 @@ def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
         return eigh(mat)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", None)
     *_, state = ed.trajectory(psi0, op, [0.0, 0.5, 1.0, 3.0])
-    assert sizes == [size]
+    closed = sizes[-1]
+    assert sizes == list(range(1, closed + 1))
+    assert closed <= ed.CLOSURE_LIMIT and closed < size
     assert op.dimension == state.amplitudes.size == size
     assert ed.propagation(op.dimension) == "spectrum"
+
+
+# Every field of the closure test; on 3x3 the split_HV blocks with
+# kappa != 0 exceed the dense cap and are stepped by Krylov instead.
+CLOSURE_FIELDS = {
+    "uniform_z": {},
+    "split_HV-kappa0": {"field_mode": "split_HV", "kappa": 0.0},
+    "split_HV-kappa1": {"field_mode": "split_HV", "kappa": 1.0},
+    "split_HV-kappa2.5": {"field_mode": "split_HV", "kappa": 2.5},
+}
+CLOSURE_CASES = [
+    (l1, l2, field)
+    for l1, l2 in ((2, 2), (2, 3), (3, 3))
+    for field in CLOSURE_FIELDS
+    if (l1, l2) != (3, 3) or field in ("uniform_z", "split_HV-kappa0")
+]
+# A spectral sample at time t is within SAMPLE_BUDGET * eps * t * max|E| of
+# the exact one: an eigenphase theta*t carries about t*|E|*eps of round-off
+# in either route. Up to 0.5 of it seen on the 3x3 block out to t = 2,121,
+# and up to 1.1 on 2x2 at t = 100, where the t-independent round-off of the
+# complex oracle's own eigenvectors weighs more.
+SAMPLE_BUDGET = 2.0
+
+
+def sample_budget(w, t):
+    return SAMPLE_BUDGET * np.finfo(float).eps * t * np.abs(w).max()
+
+
+@pytest.mark.parametrize("l1,l2,field", CLOSURE_CASES)
+def test_quench_state_space_closes_within_the_limit(l1, l2, field, monkeypatch):
+    # From the weakest to the strongest shipped field the (0,0) state's
+    # Krylov space closes within CLOSURE_LIMIT vectors (16 to 18 on the 3x3
+    # block, up to 33 on the 512-state 2x3 split_HV block): its eigenphases
+    # are the operator's, and the trajectory takes no eigensystem.
+    geo = lattice.build_lattice(l1, l2)
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", None)
+    for h in (0.01, 0.1, 1.0, 9.0, 99.0):
+        spec = ed.HamiltonianSpec(geo, h=h, **CLOSURE_FIELDS[field])
+        op = ed.build_hamiltonian(spec, ed.build_block(spec))
+        assert ed.propagation(op.dimension) == "spectrum"
+        psi0 = stabilizer.ground_state(geo, (0, 0), op.basis)
+        Q, theta, S = ed._closed_space(op, psi0.amplitudes)
+        assert theta.size <= ed.CLOSURE_LIMIT and theta.size < op.dimension
+        assert np.max(np.abs(Q @ Q.conj().T - np.eye(theta.size))) < 1e-12
+        # A Ritz value lies within its residual beta_m |S_mj| of the
+        # spectrum, so weighted by the state's overlap the distances sum to
+        # at most the leak rate, 8 * eps * max|theta|, plus the dense eigh's
+        # round-off (up to 9.4 * eps * max|E| seen, on 2x3 split_HV at h = 99).
+        w, vecs = np.linalg.eigh(op.dense().astype(complex))
+        near = w[np.abs(w[:, None] - theta).argmin(axis=0)]
+        eps_e = np.finfo(float).eps * np.abs(w).max()
+        assert np.sum(np.abs(S[0]) * np.abs(near - theta)) < 16 * eps_e
+        (state,) = ed.trajectory(psi0, op, [100.0])
+        want = vecs @ (np.exp(-100j * w) * (vecs.conj().T @ psi0.amplitudes))
+        assert np.max(np.abs(state.amplitudes - want)) < sample_budget(w, 100.0)
+
+
+def test_random_state_falls_back_to_the_eigensystem(geo33, monkeypatch):
+    # A seeded random state touches nearly every eigenvalue of the 1,024-state
+    # sector, so its space is still open at CLOSURE_LIMIT vectors.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo33, h=9.0), ed.build_sector(geo33))
+    rng = np.random.default_rng(647)
+    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    psi = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
+    assert ed._closed_space(op, psi.amplitudes) is None
+    calls = []
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def recording(self):
+        calls.append(self.dimension)
+        return eigensystem(self)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    (state,) = ed.trajectory(psi, op, [1.0])
+    assert calls == [1024]
+    w, vecs = eigensystem(op)
+    want = vecs @ (np.exp(-1j * w) * (vecs.T @ psi.amplitudes))
+    assert np.max(np.abs(state.amplitudes - want)) < 1e-12
+
+
+def test_spectral_trajectory_at_zero_returns_the_state_by_either_route(monkeypatch):
+    # A state's norm may be off 1 by up to 1e-8; its samples keep that norm,
+    # by the closed space and by the eigensystem fallback alike.
+    _, op, psi0 = block_case("3x3-sector")
+    amps = psi0.amplitudes * (1.0 + 5e-9)
+    psi = stabilizer.StateVector(amps, op.basis)
+    for limit in (ed.CLOSURE_LIMIT, 1):
+        monkeypatch.setattr(ed, "CLOSURE_LIMIT", limit)
+        (state,) = ed.trajectory(psi, op, [0.0])
+        assert np.max(np.abs(state.amplitudes - amps)) < 1e-14
+
+
+@pytest.mark.parametrize("h", [9.0, 99.0])
+def test_spectral_samples_hold_the_budget_to_the_sweep_horizon(geo33, h, monkeypatch):
+    # The hardest regime of a spectral run: the 3x3 block at h = 9 and 99
+    # over the sweep's window (50, 55) and its golden-ratio horizon, out to
+    # t = 2,121, by the closed space and by the eigensystem fallback,
+    # against the block's complex dense spectrum.
+    spec = ed.HamiltonianSpec(geo33, h=h)
+    op = ed.build_hamiltonian(spec, ed.build_block(spec))
+    psi0 = stabilizer.ground_state(geo33, (0, 0), op.basis)
+    w_ref, v_ref = np.linalg.eigh(op.dense().astype(complex))
+    coef = v_ref.conj().T @ psi0.amplitudes
+    t0, t1 = 50.0, 55.0
+    stride = (t1 - t0) * quench._GOLDEN
+    times = [t0 + t for t in quench._time_grid(t1 - t0, 0.5)]
+    times += [t0 + j * stride for j in range(1, quench._EIG_SAMPLES + 1)]
+    assert 2121 < times[-1] < 2122
+    calls = []
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def recording(self):
+        calls.append(self.dimension)
+        return eigensystem(self)
+
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    for limit, route in ((ed.CLOSURE_LIMIT, []), (1, [256])):
+        monkeypatch.setattr(ed, "CLOSURE_LIMIT", limit)
+        for t, state in zip(times, ed.trajectory(psi0, op, times)):
+            want = v_ref @ (coef * np.exp(-1j * w_ref * t))
+            assert np.max(np.abs(state.amplitudes - want)) < sample_budget(w_ref, t)
+        assert calls == route
 
 
 @pytest.fixture(scope="module")

@@ -213,21 +213,15 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
     # Under uniform_z the 3x3 quench state lies in a block of 256 of the
     # 2^18 full-space states. The run builds only that block, so it is
     # spectral, and the sweep reports the eigenbasis mean from all its
-    # long-time samples without a 2^18-entry array.
-    eigh = np.linalg.eigh
-    sizes = []
-
-    def counted(mat):
-        sizes.append(mat.shape[0])
-        return eigh(mat)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    # long-time samples without a 2^18-entry array. Each trajectory closes
+    # the quench state's Krylov space within the block.
+    routes = recording_spectral_routes(monkeypatch)
     dims = recording_operators(monkeypatch)
     report = quench.run_quench(quench.QuenchConfig(L1=3, L2=3, h=0.1, t_max=0.2))
     assert report.metadata["basis_dimension"] == 1 << 18
     assert report.metadata["block_dimension"] == 256
     assert report.metadata["propagation"] == "spectrum"
-    assert sizes == [256] and dims == [256]
+    assert closed_blocks(routes) == [256] and dims == [256]
     config = quench.QuenchConfig(L1=3, L2=3, dt=0.5)
     tracemalloc.start()
     try:
@@ -235,12 +229,12 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The 256-state eigh with its real eigenvectors and one chunk of 2^14
-    # sample amplitudes peak at about 1.4 MiB. A complex 2^18-entry state
-    # alone is 4 MiB; a float or index array of 2^18 entries, as the whole
-    # space's diagonal or positions, is 2 MiB.
+    # The block's Lanczos vectors and one chunk of 2^14 sample amplitudes
+    # peak at about 1.1 MiB. A complex 2^18-entry state alone is 4 MiB; a
+    # float or index array of 2^18 entries, as the whole space's diagonal or
+    # positions, is 2 MiB.
     assert peak < 3 << 20
-    assert sizes == [256, 256] and dims == [256, 256]
+    assert closed_blocks(routes) == [256, 256] and dims == [256, 256]
     assert row.eigenbasis_mean_s_top is not None
     assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
 
@@ -268,21 +262,14 @@ def two_call_sweep_row(config, beta, window):
 
 def test_sweep_takes_one_eigensystem_per_beta(monkeypatch):
     # The window and the long horizon share one trajectory, so each beta
-    # diagonalizes its 256-state block once, and the rows are bit for bit
-    # those of two separate calls.
+    # closes the quench state's space in its 256-state block once, and the
+    # rows are bit for bit those of two separate calls.
     config = quench.QuenchConfig(L1=3, L2=3, dt=0.5, sector_restrict=True)
     betas, window = [0.3, 0.9], (50.0, 55.0)
     want = [two_call_sweep_row(config, beta, window) for beta in betas]
-    blocks = []
-    eigensystem = ed.HamiltonianOperator.eigensystem
-
-    def recording(self):
-        blocks.append(self.dimension)
-        return eigensystem(self)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    routes = recording_spectral_routes(monkeypatch)
     assert quench.long_time_average(config, betas, window) == want
-    assert blocks == [256, 256]
+    assert closed_blocks(routes) == [256, 256]
 
 
 def test_verify_passes_on_shipped_configs():
@@ -326,25 +313,48 @@ def recording_operators(monkeypatch):
     return dims
 
 
+def recording_spectral_routes(monkeypatch):
+    """Record the route of every spectral trajectory: ("closed", block
+    dimension, vectors in the state's closed Krylov space) or
+    ("eigensystem", block dimension) for the fallback."""
+    routes = []
+    closed_space = ed._closed_space
+    eigensystem = ed.HamiltonianOperator.eigensystem
+
+    def recording_closed(op, v):
+        closed = closed_space(op, v)
+        if closed is not None:
+            routes.append(("closed", op.dimension, closed[1].size))
+        return closed
+
+    def recording_eigensystem(self):
+        routes.append(("eigensystem", self.dimension))
+        return eigensystem(self)
+
+    monkeypatch.setattr(ed, "_closed_space", recording_closed)
+    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording_eigensystem)
+    return routes
+
+
+def closed_blocks(routes):
+    """The block dimensions of ``routes``, each checked to have closed
+    within ``ed.CLOSURE_LIMIT`` vectors."""
+    assert all(r[0] == "closed" and r[2] <= ed.CLOSURE_LIMIT for r in routes), routes
+    return [r[1] for r in routes]
+
+
 def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
     # The run's 256-state block operator and the 1024-state sector
     # reference are built. Krylov steps the whole sector; the trajectory
-    # takes the spectrum of the block.
+    # closes the quench state's space in the block.
     calls = recording_evolve(monkeypatch)
     dims = recording_operators(monkeypatch)
-    blocks = []
-    eigensystem = ed.HamiltonianOperator.eigensystem
-
-    def recording(self):
-        blocks.append(self.dimension)
-        return eigensystem(self)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    routes = recording_spectral_routes(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
     assert dims == [256, 1024]
     assert calls == [1024]
-    assert blocks == [256]
+    assert closed_blocks(routes) == [256]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
@@ -467,15 +477,15 @@ def test_verify_checks_propagation_on_the_full_space(
     quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True),
 ], ids=["2x2-full", "3x3-sector"])
 def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
-    # Eigenphases off by 1e-7 to 2e-7 are seen by the propagation check
-    # and by no other.
-    eigensystem = ed.HamiltonianOperator.eigensystem
+    # Eigenphases of the closed space off by 1e-7 to 2e-7 are seen by the
+    # propagation check and by no other.
+    closed_space = ed._closed_space
 
-    def perturbed(self):
-        w, v = eigensystem(self)
-        return w + 1e-7 * np.linspace(1.0, 2.0, w.size), v
+    def perturbed(op, v):
+        Q, theta, S = closed_space(op, v)
+        return Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S
 
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", perturbed)
+    monkeypatch.setattr(ed, "_closed_space", perturbed)
     ok, lines = quench.verify(config)
     assert not ok
     fails = [line for line in lines if line.startswith("FAIL")]

@@ -493,6 +493,15 @@ def test_basis_refuses_a_full_space_above_the_cap():
         sector.project(psi)
 
 
+def test_basis_refuses_a_flip_beyond_its_spins():
+    # 1 << 5 on four spins would sit at position 1 beside the flip 1, so the
+    # region split of (0, 1) would collide; -1 has every high bit set.
+    for flips in ([1 << 5, 1], [1 << 4], [-1]):
+        with pytest.raises(ValueError, match="a flip of 4 spins has a bit at or above bit 4"):
+            stabilizer.Basis(4, flips)
+    assert stabilizer.Basis(4, [1 << 3, 1]).kept_indices.tolist() == [0, 1, 8, 9]
+
+
 def test_same_basis(geo22, geo23):
     a = stabilizer.ground_state(geo22)
     b = stabilizer.ground_state(geo22, (1, 0))

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,3 +160,21 @@ class Box:
         return self._extra
 """
     assert foreign_private_reads(ast.parse(src)) == ["line 5: ._hidden"]
+
+
+def test_cli_and_quench_imports_skip_package_metadata():
+    # The version is a literal: reading it through importlib.metadata cost
+    # 17-20 ms of every command-line start, and gave "unknown" in a checkout.
+    code = (
+        "import sys, toricsim.cli, toricsim.quench\n"
+        "print(sorted(m for m in ('importlib.metadata', 'email') if m in sys.modules))\n"
+        "print(toricsim.__version__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n0.1.0\n"
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'dynamic = ["version"]' in pyproject
+    assert 'version = { attr = "toricsim.__version__" }' in pyproject
