@@ -351,8 +351,9 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     Krylov steps on the config's whole space: the plaquette sector with
     ``sector_restrict``, else all 2^N states. The block's amplitudes are
     placed at their positions in that space. The reference knows nothing of
-    the block, so the two cross bases and, within the dense cap, methods.
-    It runs at every size the config admits.
+    the block, so the two cross bases and methods: the eigenphases of the
+    state's Krylov space in the block against Krylov steps on the whole
+    space. It runs at every size the config admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one

@@ -255,7 +255,7 @@ class StateVector:
         if self.amplitudes.shape != (self.basis.dimension,):
             raise ValueError("amplitude length does not match basis dimension")
         norm = float(np.linalg.norm(self.amplitudes))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # a NaN norm fails this too
             raise ValueError(f"state is not normalized: |psi| = {norm!r}")
 
     @property

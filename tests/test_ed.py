@@ -874,7 +874,8 @@ def test_quench_state_space_closes_within_the_limit(l1, l2, field, monkeypatch):
         op = ed.build_hamiltonian(spec, ed.build_block(spec))
         assert ed.propagation(op.dimension) == "spectrum"
         psi0 = stabilizer.ground_state(geo, (0, 0), op.basis)
-        Q, theta, S = ed._closed_space(op, psi0.amplitudes)
+        Q, theta, S, beta = ed._krylov_space(op, psi0.amplitudes, [100.0])
+        assert beta == 0.0
         assert theta.size <= ed.CLOSURE_LIMIT and theta.size < op.dimension
         assert np.max(np.abs(Q @ Q.conj().T - np.eye(theta.size))) < 1e-12
         # A Ritz value lies within its residual beta_m |S_mj| of the
@@ -897,7 +898,7 @@ def test_random_state_falls_back_to_the_eigensystem(geo33, monkeypatch):
     rng = np.random.default_rng(647)
     amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     psi = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    assert ed._closed_space(op, psi.amplitudes) is None
+    assert ed._krylov_space(op, psi.amplitudes, [1.0]) is None
     calls = []
     eigensystem = ed.HamiltonianOperator.eigensystem
 
@@ -1001,6 +1002,134 @@ def test_block_krylov_matches_whole_basis_krylov_on_3x3(krylov_quench_33):
         want = ed.evolve(start, whole, t)
         assert np.linalg.norm(embed(state, whole.basis) - want.amplitudes) < 1e-10
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+
+
+def recording_trajectory_routes(monkeypatch):
+    """Record the dtype of every Krylov space a trajectory builds and the
+    length of every ``ed.evolve`` call it falls back to."""
+    dtypes, steps = [], []
+    krylov_space = ed._krylov_space
+    evolve = ed.evolve
+
+    def recording_space(op, v, times):
+        space = krylov_space(op, v, times)
+        dtypes.append(space[0].dtype)
+        return space
+
+    def recording_evolve(state, op, t, tol=1e-10):
+        steps.append(t)
+        return evolve(state, op, t, tol)
+
+    monkeypatch.setattr(ed, "_krylov_space", recording_space)
+    monkeypatch.setattr(ed, "evolve", recording_evolve)
+    return dtypes, steps
+
+
+def seeded_complex_state(op, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
+    return stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
+
+
+@pytest.mark.parametrize("h,state,t_max,evolved", [
+    (0.3, "quench", 0.2, []), (0.3, "quench", 1.0, []), (9.0, "quench", 1.0, [0.3, 0.5]),
+    (0.3, "random", 1.0, [0.5]),
+])
+def test_krylov_block_samples_hold_the_tol_against_tight_evolve(
+    krylov_quench_33, monkeypatch, h, state, t_max, evolved
+):
+    # The 32,768-state split_HV block, above the dense cap, out to t = 1:
+    # every sample is within evolve's tol of evolve at tol 1e-13, stepped
+    # from sample to sample (6.7e-13 seen, with the benchmark's 13 vectors
+    # to t = 0.2). The real quench state's space is built in real
+    # arithmetic; at h = 0.3 it reaches every time, at h = 9 its 30 vectors
+    # reach t = 0.2 and the later samples are stepped by evolve. A seeded
+    # complex state's space is complex and falls back to evolve at t = 1.
+    op = krylov_quench_33[0]
+    if h != 0.3:
+        spec = ed.HamiltonianSpec(lattice.build_lattice(3, 3), h=h, kappa=1.0,
+                                  field_mode="split_HV")
+        op = ed.build_hamiltonian(spec, ed.build_block(spec))
+    assert op.dimension == 32768 and ed.propagation(op.dimension) == "krylov"
+    psi = krylov_quench_33[1] if state == "quench" else seeded_complex_state(op, 5)
+    times = [t for t in (0.0, 0.1, 0.2, 0.5, 1.0) if t <= t_max]
+    dtypes, steps = recording_trajectory_routes(monkeypatch)
+    samples = list(ed.trajectory(psi, op, times))
+    assert dtypes == [np.float64 if state == "quench" else np.complex128]
+    assert steps == evolved
+    monkeypatch.undo()
+    want, t_prev = psi, 0.0
+    for t, sample in zip(times, samples):
+        want, t_prev = ed.evolve(want, op, t - t_prev, tol=1e-13), t
+        assert np.max(np.abs(sample.amplitudes - want.amplitudes)) < 1e-10
+
+
+@pytest.mark.parametrize("times,evolved", [
+    ([0.0, 0.01, 0.1, 0.5, 1.0, 99.5, 100.0], [1.0 - 0.5, 99.5 - 1.0, 100.0 - 99.5]),
+    ([50.0 + 0.5 * k for k in range(11)], [50.0] + [0.5] * 10),
+], ids=["to-t100", "window-from-t50"])
+def test_krylov_fallback_holds_the_tol_at_strong_field(geo22, monkeypatch, times, evolved):
+    # The hardest regime of the Krylov route, h = 9 out to t = 100, on the
+    # 2x2 full space with the dense cap lowered below it, against its dense
+    # spectrum. (On the 32,768-state 3x3 block one such trajectory takes
+    # about 95 s of evolve steps.) The quench state's space closes and
+    # reaches every time. A seeded complex state's space reaches t = 0.5,
+    # and every later sample is stepped by evolve from the one before; a
+    # sweep's window, which starts at t = 50 with no earlier sample, it
+    # reaches not at all, so the first sample is stepped from the state.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, kappa=1.0, field_mode="split_HV"))
+    monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 1)
+    assert ed.propagation(op.dimension) == "krylov"
+    dtypes, steps = recording_trajectory_routes(monkeypatch)
+    for psi, want_steps in ((stabilizer.ground_state(geo22), []),
+                            (seeded_complex_state(op, 5), evolved)):
+        steps.clear()
+        for want, sample in zip(dense_samples(psi, op, times), ed.trajectory(psi, op, times)):
+            assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
+        assert steps == want_steps
+    assert dtypes == [np.float64, np.complex128]
+
+
+@pytest.fixture(scope="module")
+def krylov_quench_33_h1():
+    """The 3x3 ``split_HV`` quench block at h = 1 (a sweep's beta 0.5), with
+    the quench state's first 60 Lanczos spaces and the last one's vectors."""
+    geo = lattice.build_lattice(3, 3)
+    spec = ed.HamiltonianSpec(geo, h=1.0, kappa=1.0, field_mode="split_HV")
+    op = ed.build_hamiltonian(spec, ed.build_block(spec))
+    psi0 = stabilizer.ground_state(geo, (0, 0), op.basis)
+    spaces = []
+    for Q, theta, S, b in ed._lanczos(op.matvec, psi0.amplitudes.real, 60):
+        spaces.append((theta, S, b))
+    return op, psi0, spaces, Q
+
+
+def test_krylov_reach_bounds_the_leak_over_the_whole_interval(krylov_quench_33_h1):
+    # At 28 vectors the leak estimate at t = 55 alone, t beta |u_m(t)|, dips
+    # within 1e-10 (8.6e-11) while its maximum over [0, 55] is 5e-10: the
+    # space does not reach t = 55, nor t = 50, where the estimate is larger.
+    theta, S, beta = krylov_quench_33_h1[2][27]
+    assert 55.0 * beta * abs((S[-1] * S[0]) @ np.exp(-55j * theta)) <= 1e-10
+    assert ed._reach(theta, S, beta, [55.0]) == 0
+    assert ed._reach(theta, S, beta, [0.0, 1.0, 5.0, 50.0, 55.0]) == 3
+    assert ed._reach(theta, S, 0.0, [55.0]) == 1
+
+
+def test_krylov_window_starting_late_is_served_by_the_block_space(krylov_quench_33_h1, monkeypatch):
+    # A sweep's window (50, 55) on the 32,768-state block, above the dense
+    # cap, with no earlier sample: the quench state's 30-vector space reaches
+    # all of it, and every sample is within 1e-10 of the 60-vector space's,
+    # whose leak rate bounds its own error at t = 55 by 1e-12.
+    op, psi0, spaces, Q = krylov_quench_33_h1
+    theta, S, beta = spaces[-1]
+    assert 55.0 * beta * np.abs(S[-1] * S[0]).sum() < 1e-12
+    times = [50.0 + 0.5 * k for k in range(11)]
+    assert ed._krylov_space(op, psi0.amplitudes.real, times)[1].size == ed.KRYLOV_DIM
+    dtypes, steps = recording_trajectory_routes(monkeypatch)
+    for t, sample in zip(times, ed.trajectory(psi0, op, times)):
+        want = (S @ (S[0] * np.exp(-1j * theta * t))) @ Q
+        assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
+    assert dtypes == [np.float64] and steps == []
 
 
 def matvec_case(name):

@@ -314,24 +314,25 @@ def recording_operators(monkeypatch):
 
 
 def recording_spectral_routes(monkeypatch):
-    """Record the route of every spectral trajectory: ("closed", block
-    dimension, vectors in the state's closed Krylov space) or
-    ("eigensystem", block dimension) for the fallback."""
+    """Record the route of every trajectory: ("closed", block dimension,
+    vectors in the state's closed Krylov space), ("krylov", ...) for a space
+    above the dense cap, which is not closed, or ("eigensystem", block
+    dimension) for the fallback within the cap."""
     routes = []
-    closed_space = ed._closed_space
+    krylov_space = ed._krylov_space
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def recording_closed(op, v):
-        closed = closed_space(op, v)
-        if closed is not None:
-            routes.append(("closed", op.dimension, closed[1].size))
-        return closed
+    def recording_space(op, v, times):
+        space = krylov_space(op, v, times)
+        if space is not None:
+            routes.append(("krylov" if space[3] else "closed", op.dimension, space[1].size))
+        return space
 
     def recording_eigensystem(self):
         routes.append(("eigensystem", self.dimension))
         return eigensystem(self)
 
-    monkeypatch.setattr(ed, "_closed_space", recording_closed)
+    monkeypatch.setattr(ed, "_krylov_space", recording_space)
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording_eigensystem)
     return routes
 
@@ -356,6 +357,25 @@ def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
     assert calls == [1024]
     assert closed_blocks(routes) == [256]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
+
+
+@pytest.mark.parametrize("h", [0.285, 0.3, 0.315])
+def test_krylov_quench_reads_every_sample_from_one_space(monkeypatch, h):
+    # The benchmark's 3x3 full-space split_HV quench (h within 5 % of 0.3,
+    # to t = 0.2): its 32,768-state block is above the dense cap, and one
+    # Krylov space of at most 16 vectors serves every sample, with no
+    # evolve step.
+    calls = recording_evolve(monkeypatch)
+    routes = recording_spectral_routes(monkeypatch)
+    report = quench.run_quench(quench.QuenchConfig(
+        L1=3, L2=3, h=h, kappa=1.0, field_mode="split_HV", t_max=0.2, dt=0.1,
+        alpha_list=(1.0, 2.0)))
+    assert report.metadata["block_dimension"] == 32768
+    assert report.metadata["propagation"] == "krylov"
+    assert len(report.times) == 3
+    ((route, block, vectors),) = routes
+    assert route == "krylov" and block == 32768 and vectors <= 16
+    assert calls == []
 
 
 def test_verify_flags_defective_partition(monkeypatch):
@@ -451,17 +471,16 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
     assert peaks[1] < 4 << 20
 
 
-@pytest.mark.parametrize("l1,l2,field,block,block_krylov", [
-    (2, 3, {}, 32, []),
-    (3, 3, {}, 256, []),
-    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, 32768, [32768]),
+@pytest.mark.parametrize("l1,l2,field,block", [
+    (2, 3, {}, 32),
+    (3, 3, {}, 256),
+    (3, 3, {"field_mode": "split_HV", "kappa": 1.0}, 32768),
 ], ids=["2x3-uniform_z", "3x3-uniform_z", "3x3-split_HV"])
-def test_verify_checks_propagation_on_the_full_space(
-    monkeypatch, l1, l2, field, block, block_krylov
-):
-    # A full-space config checks its block's propagation against Krylov on
-    # the whole 2^N basis, above the dense cap too. Under split_HV the block
-    # is above the cap as well, so the trajectory steps it by Krylov.
+def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field, block):
+    # A full-space config checks its block's propagation against Krylov
+    # steps on the whole 2^N basis, above the dense cap too. Under split_HV
+    # the block is above the cap as well; the t = 1 sample still comes from
+    # the state's Krylov space, not from stepping the block.
     calls = recording_evolve(monkeypatch)
     dims = recording_operators(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=l1, L2=l2, h=0.1, **field))
@@ -469,28 +488,33 @@ def test_verify_checks_propagation_on_the_full_space(
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [block, 1 << 2 * l1 * l2]
-    assert calls == [*block_krylov, 1 << 2 * l1 * l2]
+    assert calls == [1 << 2 * l1 * l2]
 
 
 @pytest.mark.parametrize("config", [
     quench.QuenchConfig(L1=2, L2=2, h=0.3),
     quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True),
-], ids=["2x2-full", "3x3-sector"])
+    quench.QuenchConfig(L1=3, L2=3, h=0.1, field_mode="split_HV", kappa=1.0),
+], ids=["2x2-full", "3x3-sector", "3x3-split_HV"])
 def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
-    # Eigenphases of the closed space off by 1e-7 to 2e-7 are seen by the
-    # propagation check and by no other.
-    closed_space = ed._closed_space
+    # Eigenphases of the state's Krylov space off by 1e-7 to 2e-7 are seen
+    # by the propagation check and by no other: the closed space within the
+    # dense cap, and under split_HV the 32,768-state block's open space.
+    krylov_space = ed._krylov_space
+    routes = []
 
-    def perturbed(op, v):
-        Q, theta, S = closed_space(op, v)
-        return Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S
+    def perturbed(op, v, times):
+        Q, theta, S, beta = krylov_space(op, v, times)
+        routes.append(ed.propagation(op.dimension))
+        return Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S, beta
 
-    monkeypatch.setattr(ed, "_closed_space", perturbed)
+    monkeypatch.setattr(ed, "_krylov_space", perturbed)
     ok, lines = quench.verify(config)
     assert not ok
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1 and len(lines) == 8
     assert fails[0].startswith("FAIL block vs whole-basis propagation")
+    assert routes == ["krylov" if config.field_mode == "split_HV" else "spectrum"]
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):

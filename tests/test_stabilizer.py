@@ -477,6 +477,11 @@ def test_state_vector_validation(geo22):
         stabilizer.StateVector(
             np.ones(dim - 1) / np.sqrt(dim - 1), stabilizer.Basis(geo22.n_spins)
         )
+    amps = np.full(dim, dim**-0.5)
+    for bad in (np.nan, np.inf):
+        amps[0] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            stabilizer.StateVector(amps, stabilizer.Basis(geo22.n_spins))
 
 
 def test_basis_refuses_a_full_space_above_the_cap():
