@@ -11,6 +11,7 @@ from collections.abc import Iterable, Sequence
 
 __all__ = [
     "mask",
+    "pack",
     "row_reduce",
     "rank",
     "reduce_mod",
@@ -24,6 +25,11 @@ def mask(components: Iterable[int]) -> int:
     for c in components:
         m |= 1 << c
     return m
+
+
+def pack(v: int, components: Iterable[int]) -> int:
+    """The bits of v at the given components, packed in order, least significant first."""
+    return sum(((v >> c) & 1) << i for i, c in enumerate(components))
 
 
 def row_reduce(vectors: Iterable[int]) -> list[int]:

@@ -17,13 +17,14 @@ position by one XOR, or sends the whole basis out of it.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf2 import mask, rank, reduce_mod, row_reduce, span
+from .gf2 import mask, pack, rank, reduce_mod, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z
 
@@ -57,9 +58,12 @@ def check_dimension(bits: int, what: str) -> None:
 
 
 def check_region(region, n_spins: int) -> tuple[int, ...]:
-    """The region's spins, ascending. Refuses an empty region, a repeated or
-    out-of-range spin, and the whole set of spins."""
-    spins = tuple(sorted(region))
+    """The region's spins as Python ints, ascending. Refuses a non-integral,
+    repeated or out-of-range spin, an empty region, and the whole set of spins."""
+    try:
+        spins = tuple(sorted(map(operator.index, region)))
+    except TypeError:
+        raise ValueError("region must be a collection of integer spins") from None
     if not spins:
         raise ValueError("region is empty")
     if len(set(spins)) != len(spins):
@@ -112,15 +116,15 @@ class Basis:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        """The generators' leading bits, ascending: position bit i is index bit pivots[i]."""
+        """The generators' leading bits, ascending: position bit i is index bit
+        pivots[i]. A coset of the span ascends as its elements' bits here do:
+        the top bit where two differ leads their difference, in the span."""
         return tuple(g.bit_length() - 1 for g in reversed(self.generators))
 
     @cached_property
     def kept_indices(self) -> np.ndarray:
         """Full-space index of each basis state, ascending, as a read-only array."""
-        kept = np.zeros(self.dimension, dtype=np.int64)
-        for i, g in enumerate(reversed(self.generators)):
-            kept[1 << i : 2 << i] = kept[: 1 << i] ^ g
+        kept = _linear_map(list(reversed(self.generators)))
         kept.flags.writeable = False
         return kept
 
@@ -139,7 +143,7 @@ class Basis:
         """
         if reduce_mod(self.generators, flip):
             return None
-        return sum(((flip >> p) & 1) << i for i, p in enumerate(self.pivots))
+        return pack(flip, self.pivots)
 
     def project(self, state: "StateVector") -> "StateVector":
         """Restrict a full-space state that lives in this basis."""
@@ -173,68 +177,56 @@ class Basis:
         """Each basis state's configuration of ``spins``, in basis order,
         packed in the given order, least significant first. At another
         basis's ``pivots`` they are the states' positions in that basis."""
-        idx = self.kept_indices
-        rows = np.zeros_like(idx)
-        for i, s in enumerate(spins):
-            rows |= ((idx >> s) & 1) << i
-        return rows
+        return _linear_map([pack(g, spins) for g in reversed(self.generators)])
 
     def split_positions(
         self, region: tuple[int, ...]
     ) -> tuple[np.ndarray, tuple[int, int, int]]:
         """Where each basis state sits in a stack of (region x complement) blocks.
 
-        ``region`` is a tuple from ``check_region``. Returns
-        ``(positions, (n_classes, rows, cols))``: basis state k belongs at
-        flat position ``positions[k]`` of an ``n_classes x rows x cols``
-        array. Two basis states share a complement configuration only when
-        their region configurations differ by an element of F_A, the GF(2)
-        span of those differences in this basis. So the region
-        configurations fall into cosets of F_A, no complement configuration
-        meets two cosets, and the reduced matrix is block diagonal with one
-        block per coset class. Class j is the j-th coset in the order of its
-        reduced representative. A state's row is its region configuration's
-        bits at the pivots of F_A, so ``rows = 2^dim F_A``, and its column
-        counts the class's complement configurations in ascending order.
-        A span tiles the stack exactly, and the full basis is one class of
-        2^|A| x 2^(N-|A|). The map is memoised per region.
+        Returns ``(positions, (n_classes, rows, cols))``: basis state k
+        belongs at flat position ``positions[k]`` of an ``n_classes x rows x
+        cols`` array. States share a complement configuration only when their
+        region configurations differ by an element of F_A, the region parts
+        of the span's elements with no complement part, so rho_A is block
+        diagonal over the cosets of F_A (Fattal et al., quant-ph/0406168).
+        Every field of a position is linear: a configuration's bits at the
+        ``pivots`` of a span. The class is the label, the region configuration
+        reduced mod F_A, at those of the labels' span L; the row is the region
+        configuration at F_A's; the column is the complement configuration at
+        those of K, the label-0 class's columns. The fields take 2^dim L x
+        2^dim F_A x 2^dim K values, disjoint bit ranges whose dimensions sum
+        to the span's, so no two states collide. Memoised per region.
         """
         cached = self._split_cache.get(region)
         if cached is None:
-            rows = self.region_rows(region)
-            rest_mask = ((1 << self.n_spins) - 1) ^ mask(region)
-            # Only np.unique with an index output: a plain one imports numpy.ma,
-            # about 15 ms in a fresh process.
-            _, column = np.unique(self.kept_indices & rest_mask, return_inverse=True)
-            ref = np.empty(column.max() + 1, dtype=np.int64)
-            ref[column] = rows  # one region row of each column
-            # F_A in echelon form, as gf2.reduce_mod takes it: each generator is
-            # the largest difference to a column's row left after the ones before.
-            generators = []
-            diff = rows ^ ref[column]
-            while (diff := diff[diff != 0]).size:
-                generators.append(int(diff.max()))
-                diff = np.minimum(diff, diff ^ generators[-1])
-            for g in generators:  # gf2.reduce_mod: each column's coset label
-                ref = np.minimum(ref, ref ^ g)
-            # One stable sort of the labels numbers the classes in label order
-            # and, columns being ascending within a class, ranks them in it.
-            order = np.argsort(ref, kind="stable")
-            labels = ref[order]
-            first = np.ones(order.size, dtype=bool)
-            first[1:] = labels[1:] != labels[:-1]
-            starts = np.flatnonzero(first)
-            counts = np.diff(starts, append=order.size)
-            col_cls = np.empty_like(order)
-            col_cls[order] = np.cumsum(first) - 1
-            col_rank = np.empty_like(order)
-            col_rank[order] = np.arange(order.size) - np.repeat(starts, counts)
-            pivots = sorted(g.bit_length() - 1 for g in generators)
-            slot = self.region_rows(tuple(region[p] for p in pivots))
-            shape = (int(counts.size), 1 << len(generators), int(counts.max()))
-            cached = ((col_cls[column] * shape[1] + slot) * shape[2] + col_rank[column], shape)
-            self._split_cache[region] = cached
+            spins = check_region(region, self.n_spins)
+            n, w = self.n_spins, len(spins)
+            inside = [pack(g, spins) for g in reversed(self.generators)]
+            outside = [g & ~mask(spins) for g in reversed(self.generators)]
+            # The echelon rows of (key << width | value) below 1 << width
+            # span the values that occur with key 0.
+            pairs = row_reduce(c << w | r for r, c in zip(inside, outside))
+            flips = [v for v in pairs if v < 1 << w]
+            labels = [reduce_mod(flips, r) for r in inside]
+            pairs = row_reduce(l << n | c for l, c in zip(labels, outside))
+            zero_class = [v for v in pairs if v < 1 << n]
+            at = [sorted(v.bit_length() - 1 for v in echelon)
+                  for echelon in (row_reduce(labels), flips, zero_class)]
+            shape = tuple(1 << len(p) for p in at)
+            images = [(pack(l, at[0]) * shape[1] + pack(r, at[1])) * shape[2] + pack(c, at[2])
+                      for l, r, c in zip(labels, inside, outside)]
+            cached = self._split_cache[region] = (_linear_map(images), shape)
         return cached
+
+
+def _linear_map(images: list[int]) -> np.ndarray:
+    """The GF(2)-linear map of positions that sends 1 << i to ``images[i]``,
+    by doubling: the positions with top bit i are those below it XOR images[i]."""
+    out = np.zeros(1 << len(images), dtype=np.int64)
+    for i, image in enumerate(images):
+        out[1 << i : 2 << i] = out[: 1 << i] ^ image
+    return out
 
 
 @lru_cache(maxsize=4)

@@ -551,10 +551,20 @@ def test_4x4_sector_regions_follow_the_group_rule():
         assert abs(report.s_top - 1.0) < 1e-10
 
 
+def region_rows_oracle(basis, spins):
+    """``Basis.region_rows`` as first built: one pass over the kept indices
+    per spin."""
+    idx = basis.kept_indices
+    rows = np.zeros_like(idx)
+    for i, s in enumerate(spins):
+        rows |= ((idx >> s) & 1) << i
+    return rows
+
+
 def split_positions_oracle(basis, region):
     """The kept-basis split map as first built: coset classes numbered by
     ``np.unique`` of their labels, columns ranked by a second stable sort."""
-    rows = basis.region_rows(region)
+    rows = region_rows_oracle(basis, region)
     rest_mask = ((1 << basis.n_spins) - 1) ^ gf2.mask(region)
     _, column = np.unique(basis.kept_indices & rest_mask, return_inverse=True)
     ref = np.empty(column.max() + 1, dtype=np.int64)
@@ -572,30 +582,66 @@ def split_positions_oracle(basis, region):
     col_rank[np.argsort(col_cls, kind="stable")] = (
         np.arange(col_cls.size) - np.repeat(np.cumsum(counts) - counts, counts))
     pivots = sorted(g.bit_length() - 1 for g in generators)
-    slot = basis.region_rows(tuple(region[p] for p in pivots))
+    slot = region_rows_oracle(basis, tuple(region[p] for p in pivots))
     shape = (int(counts.size), 1 << len(generators), int(counts.max()))
     return (col_cls[column] * shape[1] + slot) * shape[2] + col_rank[column], shape
 
 
 def test_split_map_matches_the_two_sort_construction(geo23, geo33):
     rng = np.random.default_rng(263)
-    bases = [
-        ed.build_sector(geo33),
-        ed.build_block(ed.HamiltonianSpec(geo33, h=0.3)),
-        ed.build_block(ed.HamiltonianSpec(geo33, h=0.3, kappa=1.0, field_mode="split_HV")),
-        stabilizer.Basis(geo23.n_spins, rng.choice(1 << geo23.n_spins, size=7, replace=False)),
+
+    def presets(geo):
+        return [r for name in lattice.partition_presets(geo)
+                for r in lattice.build_partition(geo, name).regions]
+
+    split_hv = ed.HamiltonianSpec(geo33, h=0.3, kappa=1.0, field_mode="split_HV")
+    odd = rng.choice(1 << geo23.n_spins, size=7, replace=False)
+    cases = [
+        (ed.build_sector(geo33), presets(geo33)),
+        (ed.build_block(ed.HamiltonianSpec(geo33, h=0.3)), presets(geo33)),
+        (ed.build_block(split_hv), presets(geo33)),
+        (stabilizer.Basis(geo23.n_spins, odd), presets(geo23)),
+        (stabilizer.Basis(geo33.n_spins), lattice.build_partition(geo33, "levinwen-small").regions),
     ]
-    for basis in bases:
-        geo = geo23 if basis.n_spins == geo23.n_spins else geo33
-        regions = [r for name in lattice.partition_presets(geo)
-                   for r in lattice.build_partition(geo, name).regions]
-        regions += [tuple(sorted(rng.choice(geo.n_spins, size=k, replace=False).tolist()))
-                    for k in (1, 5, geo.n_spins - 1)]
+    # Seeded random spans of 3 to 13 spins with random rank.
+    for _ in range(24):
+        n = int(rng.integers(3, 14))
+        flips = rng.integers(0, 1 << n, size=int(rng.integers(1, n + 2))).tolist()
+        cases.append((stabilizer.Basis(n, flips), []))
+    for basis, regions in cases:
+        n = basis.n_spins
+        regions = list(regions)
+        regions += [tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+                    for k in (1, min(5, n - 1), int(rng.integers(1, n)), n - 1)]
+        # numpy-int spins place the states as plain ints do
+        regions.append(tuple(np.sort(rng.choice(n, size=int(rng.integers(1, n)), replace=False))))
         for region in regions:
             positions, shape = basis.split_positions(region)
             want_positions, want_shape = split_positions_oracle(basis, region)
             assert shape == want_shape, region
             assert np.array_equal(positions, want_positions), region
+            assert np.array_equal(basis.region_rows(region), region_rows_oracle(basis, region))
+        assert np.array_equal(basis.region_rows(basis.pivots), np.arange(basis.dimension))
+
+
+def test_split_map_is_linear_and_sorts_nothing(geo33, monkeypatch):
+    # Every map of the split route is GF(2)-linear in the position, so it
+    # is built by doubling over the generators, with no sort.
+    basis = ed.build_block(ed.HamiltonianSpec(geo33, h=9.0, kappa=1.0, field_mode="split_HV"))
+    assert basis.dimension == 1 << 15
+    regions = lattice.build_partition(geo33, "levinwen-small").regions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split route sorts")
+
+    with monkeypatch.context() as patch:
+        for name in ("unique", "argsort", "sort"):
+            patch.setattr(np, name, refuse)
+        maps = [basis.split_positions(region)[0] for region in regions]
+    rng = np.random.default_rng(269)
+    a, b = rng.integers(0, basis.dimension, size=(2, 200))
+    for f in [basis.kept_indices, *maps, *(basis.region_rows(r) for r in regions)]:
+        assert np.array_equal(f[a ^ b], f[a] ^ f[b])
 
 
 def per_state_reports(states, partition, alphas):

@@ -469,6 +469,22 @@ def test_check_region_sorts(geo33):
     assert stabilizer.check_region(np.array([5, 0]), geo33.n_spins) == (0, 5)
 
 
+def test_region_spins_are_plain_ints_and_a_float_is_refused(geo33):
+    psi = stabilizer.ground_state(geo33)
+    with pytest.raises(ValueError, match="integer spins"):
+        entanglement.region_spectrum(psi, (1.5, 2))
+    with pytest.raises(ValueError, match="integer spins"):
+        stabilizer.check_region((np.float64(1.0), 2), geo33.n_spins)
+    region = np.array([11, 2, 7, 8], dtype=np.int64)
+    spins = stabilizer.check_region(region, geo33.n_spins)
+    assert spins == (2, 7, 8, 11) and all(type(s) is int for s in spins)
+    # Two instances of the sector, so each region builds its own split map.
+    plain = stabilizer.ground_state(geo33, basis=ed.build_sector(geo33))
+    numpy_int = stabilizer.ground_state(geo33, basis=ed.build_sector(geo33))
+    assert np.array_equal(entanglement.region_spectrum(numpy_int, tuple(region)),
+                          entanglement.region_spectrum(plain, spins))
+
+
 def test_state_vector_validation(geo22):
     dim = 1 << geo22.n_spins
     with pytest.raises(ValueError):
