@@ -14,15 +14,16 @@ state's own Krylov space, the tridiagonal matrix of one Lanczos loop.
 Within the dense cap the space is built until it is closed to round-off
 (16 to 18 vectors for the 3x3 quench state on its 256-state block); a
 state whose space is still open after ``CLOSURE_LIMIT`` vectors takes one
-eigendecomposition of the whole operator instead. Above the cap it grows
-until a bound on the weight leaking out of it by each sample time is
-within ``evolve``'s tol, or to ``KRYLOV_DIM`` vectors (13 for the 3x3
-``split_HV`` quench to t = 0.2 at h = 0.3), and the samples it does not
-reach are stepped by ``evolve``, adaptive Krylov steps of exp(-iHt) on any
-basis, on the same Lanczos loop. Every operator is real symmetric, so a
-real state's space and the eigenvectors are real: a sample is then one
-real product with the float view of its complex coefficients, a quarter
-of the complex product's arithmetic.
+eigendecomposition of the whole operator instead. Above the cap the
+samples come from the propagator ``evolve`` runs on any basis, restarted
+spaces of the same Lanczos loop: a space grows until a bound on the
+weight leaking out of it by each remaining time is within its share of
+the tol, or to ``KRYLOV_DIM`` vectors, serves the times it holds and
+restarts from the farthest it holds. The 3x3 ``split_HV``
+quench to t = 0.2 at h = 0.3 takes one space of 13 vectors. Every
+operator is real symmetric, so a real state's space and the eigenvectors
+are real: a sample is then one real product with the float view of its
+complex coefficients, a quarter of the complex product's arithmetic.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 FULL_SPECTRUM_CAP = 4096
-# Largest Krylov subspace one propagation step builds.
+# Largest Krylov space one propagation restart builds.
 KRYLOV_DIM = 30
 # Largest Krylov space of a spectral trajectory's state; one still open
 # there falls back to the operator's eigensystem.
@@ -264,26 +265,6 @@ def _lanczos(
             Q[m] = w / b
 
 
-def _expm_krylov_step(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    v: np.ndarray,
-    dt: float,
-    target: float,
-) -> tuple[np.ndarray, float]:
-    """One Krylov approximation of exp(-i*H*dt) v with an error estimate.
-
-    The ``_lanczos`` subspace grows until the estimate |beta_m u_m| of the
-    weight leaking past it is within ``target`` (zero on happy breakdown),
-    or to ``KRYLOV_DIM``.
-    """
-    for Q, evals, evecs, b in _lanczos(matvec, v, KRYLOV_DIM):
-        u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
-        err = 0.0 if b <= 1e-14 else abs(b * u[-1])
-        if err <= target:
-            break
-    return u @ Q, float(err)
-
-
 def propagation(dimension: int) -> str:
     """Propagation of a basis of ``dimension`` states: "spectrum" within the
     dense cap, else "krylov"."""
@@ -300,60 +281,99 @@ def _product(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (mat @ pairs).view(np.complex128).ravel()
 
 
-def _reach(theta: np.ndarray, S: np.ndarray, beta: float, times: Sequence[float]) -> int:
-    """How many leading times of an ascending sequence a Krylov space,
-    ``eigh`` of its tridiagonal matrix and the norm ``beta`` of what leaves
-    it, holds its state's sample at within ``evolve``'s default tol, 1e-10.
+def _reach(
+    theta: np.ndarray, S: np.ndarray, beta: float, times: Sequence[float], rate: float
+) -> tuple[int, float]:
+    """``(count, held)`` of a Krylov space, from ``eigh`` of its tridiagonal
+    matrix and the norm ``beta`` of what leaves it: how many leading times
+    of an ascending sequence it holds its state's sample at, and the
+    farthest time of its grid it holds.
 
     The weight leaking out by time t is at most the integral of beta |u_m(s)|
     over [0, t], u(s) = S (S_1 exp(-i theta s)) (Hochbruck & Lubich, SIAM J.
-    Numer. Anal. 34, 1911 (1997)), so at most t beta max |u_m| over [0, t].
-    |u_m| oscillates at long times, so its value at t alone bounds nothing;
-    the maximum is taken on a grid of spacing 1 / (max theta - min theta),
-    on which no two eigenphases turn apart by more than a radian from one
-    point to the next. The grid runs from 0 even when the first time is
-    late, as a sweep's window at t = 50, in chunks of 4,096 points to keep
-    its memory small. A closed space, beta = 0, holds every time.
+    Numer. Anal. 34, 1911 (1997)), so at most |t| beta max |u_m| over [0, t].
+    The space holds t when that is within ``rate * |t|``. |u_m| oscillates
+    at long times, so its value at t alone bounds nothing; the maximum is
+    taken on a grid of spacing 1 / (max theta - min theta), on which no two
+    eigenphases turn apart by more than a radian from one point to the
+    next. The grid runs from 0 even when the first time is late, as a
+    sweep's window at t = 50, in chunks that double from 16 points to
+    4,096, so a space that fails early pays little and memory stays small.
+    A closed space, beta = 0, holds every time.
     """
     if not beta:
-        return len(times)
-    c, peak, start = S[-1] * S[0], 0.0, 0.0
+        return len(times), times[-1]
+    c, held, start, size = S[-1] * S[0], 0.0, 0.0, 16
     for n, t in enumerate(times):
-        s = np.linspace(start, t, int(abs(t - start) * np.ptp(theta)) + 2)
-        for k in range(0, s.size, 4096):
-            peak = max(peak, np.abs(np.exp(-1j * np.outer(s[k : k + 4096], theta)) @ c).max())
-            if abs(t) * beta * peak > 1e-10:
-                return n
+        grid = np.linspace(start, t, int(abs(t - start) * np.ptp(theta)) + 2)
+        k = 0
+        while k < grid.size:
+            s = grid[k : k + size]
+            # u_m(0) is zero but for a one-vector space, and any space holds t = 0.
+            over = (beta * np.abs(np.exp(-1j * np.outer(s, theta)) @ c) > rate) & (s != 0)
+            if over.any():
+                i = int(over.argmax())
+                return n, float(s[i - 1]) if i else held
+            held, k, size = float(s[-1]), k + size, min(2 * size, 4096)
         start = t
-    return len(times)
+    return len(times), held
 
 
 def _krylov_space(
-    op: HamiltonianOperator, v: np.ndarray, times: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float] | None:
-    """``(Q, theta, S, beta)`` of the Krylov space of the unit vector ``v``:
-    its vectors as rows, ``eigh`` of its tridiagonal matrix, and the norm of
-    what ``H`` sends out of it.
+    op: HamiltonianOperator, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(Q, theta, S)`` of the Krylov space of the unit vector ``v``, closed
+    to round-off: its vectors as rows and ``eigh`` of its tridiagonal matrix.
 
-    Within the dense cap the space grows until it is closed to round-off,
-    and its beta is returned as zero; ``times`` play no part. The weight
-    leaking out of it is at most t * beta_m * sum_j |S_mj S_1j| after a time
-    t, so a rate within ``8 * eps * max|theta|`` keeps it below an
-    eigenphase's own round-off, t * |E| * eps, at any t. None if it is still
-    open after ``CLOSURE_LIMIT`` vectors. Above the cap the space grows
-    until ``_reach`` counts every one of ``times``, or to ``KRYLOV_DIM``
-    vectors.
+    The weight leaking out of it is at most t * beta_m * sum_j |S_mj S_1j|
+    after a time t, so a rate within ``8 * eps * max|theta|`` keeps it below
+    an eigenphase's own round-off, t * |E| * eps, at any t; a space of the
+    whole basis is closed too. None if it is still open after
+    ``CLOSURE_LIMIT`` vectors.
     """
-    spectral = propagation(op.dimension) == "spectrum"
-    size = min(op.dimension, CLOSURE_LIMIT if spectral else KRYLOV_DIM)
-    for Q, theta, S, b in _lanczos(op.matvec, v, size):
-        if not spectral:
-            if _reach(theta, S, b, times) == len(times):
+    for Q, theta, S, b in _lanczos(op.matvec, v, min(op.dimension, CLOSURE_LIMIT)):
+        if (b * np.abs(S[-1] * S[0]).sum() <= 8 * np.finfo(float).eps * np.abs(theta).max()
+                or len(theta) == op.dimension):
+            return Q, theta, S
+    return None
+
+
+def _steps(
+    state: StateVector, op: HamiltonianOperator, times: Sequence[float], tol: float
+) -> Iterator[StateVector]:
+    """Yield exp(-iHt)|state> for each time of an ascending sequence, from
+    restarted Krylov spaces whose leaks sum to at most ``tol``.
+
+    Each space grows from the current vector until ``_reach`` holds every
+    remaining time, or to ``KRYLOV_DIM`` vectors. It holds t, counted from
+    its start, when its leak bound over [0, t] is within tol * |t| / T, T
+    the call's largest |time|, so spaces that cover [0, T] end to end leak
+    at most tol in all. It serves the times it holds, and the next space
+    starts from its vector at the farthest grid time it holds; a space that
+    holds none past its start, as under a tol below round-off, raises
+    RuntimeError. The norm is carried, never renormalized.
+    """
+    span = max(map(abs, times), default=0.0)
+    rate = tol / span if span else np.inf
+    size = min(op.dimension, KRYLOV_DIM)
+    norm = float(np.linalg.norm(state.amplitudes))
+    v, start, n = state.amplitudes / norm, 0.0, 0
+    while n < len(times):
+        rest = [t - start for t in times[n:]]
+        for Q, theta, S, beta in _lanczos(op.matvec, v if v.imag.any() else v.real, size):
+            count, held = _reach(theta, S, beta, rest, rate)
+            if count == len(rest):
                 break
-        elif (b * np.abs(S[-1] * S[0]).sum() <= 8 * np.finfo(float).eps * np.abs(theta).max()
-              or len(theta) == op.dimension):
-            return Q, theta, S, 0.0
-    return None if spectral else (Q, theta, S, b)
+        coef = norm * S[0]
+        for t in rest[:count]:
+            yield StateVector(_product(Q.T, S @ (coef * np.exp(-1j * theta * t))), state.basis)
+        n += count
+        if n < len(times):
+            if not held:
+                raise RuntimeError(
+                    f"a Krylov space of {theta.size} vectors holds no time within tol {tol:g}"
+                )
+            v, start = _product(Q.T, S @ (S[0] * np.exp(-1j * theta * held))), start + held
 
 
 def trajectory(
@@ -361,85 +381,52 @@ def trajectory(
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Each sample is read from the state's own Krylov space (``_krylov_space``,
-    Park & Light, J. Chem. Phys. 85, 5870 (1986)) as
-    ``|psi| Q^T S (S_1 * exp(-i theta t))``. A real state builds it in real
-    arithmetic, and a sample is then one real product with the ``(dim, 2)``
-    float view of its complex coefficients. Within the dense cap the space
-    is closed to round-off and serves every time; a sample is within about
-    2 * eps * t * max|E| of the exact one. A state whose space is still
-    open after ``CLOSURE_LIMIT`` vectors is projected once on the real
-    eigenbasis of one ``eigensystem`` call instead, and each sample is
-    rebuilt from the eigenphases by real products. Either way a sample's
-    bits do not depend on the other times of the call.
+    Within the dense cap each sample is read from the state's own Krylov
+    space, closed to round-off (``_krylov_space``, Park & Light, J. Chem.
+    Phys. 85, 5870 (1986)), as ``|psi| Q^T S (S_1 * exp(-i theta t))``. A
+    real state builds it in real arithmetic, and a sample is then one real
+    product with the ``(dim, 2)`` float view of its complex coefficients. A
+    sample is within about 2 * eps * t * max|E| of the exact one. A state
+    whose space is still open after ``CLOSURE_LIMIT`` vectors is projected
+    once on the real eigenbasis of one ``eigensystem`` call instead, and
+    each sample is rebuilt from the eigenphases by real products. Either way
+    a sample's bits do not depend on the other times of the call.
 
-    Above the cap the space grows until ``_reach`` counts every time, or
-    to ``KRYLOV_DIM`` vectors, and it serves the leading times it reaches: a
-    bound on their leak, t * beta_m * max |u_m| over [0, t], is within
-    1e-10. The rest are stepped by ``evolve`` from the last sample it
-    served, or from the state, each call held to the same tol. Against
-    ``evolve`` at tol 1e-13 the 3x3 ``split_HV`` quench samples differ by at
-    most 7e-13 out to t = 1 at h from 0.1 to 9, and a seeded complex
-    state's by 3e-16 at h = 0.3. On that block the tests hold every sample
-    to 1e-10 of such an oracle to t = 1, and over the window (50, 55) at
-    h = 1, which the quench state's 30-vector space serves whole, against a
-    60-vector space. The fallback past t = 1 at h = 9, out to t = 100 and
-    over a window that starts at t = 50, is tested on the 2x2 full space
-    with the cap lowered below it, against its dense spectrum (8e-13 seen).
+    Above the cap the samples come from ``_steps`` at tol 1e-10, the loop
+    ``evolve`` runs: the state's Krylov space serves the times it holds and
+    restarted spaces the rest. The 3x3 ``split_HV`` quench state's first
+    space, 13 real vectors at h = 0.3, serves every sample to t = 0.2.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
+    if propagation(op.dimension) == "krylov":
+        yield from _steps(state, op, times, 1e-10)
+        return
     norm = float(np.linalg.norm(state.amplitudes))
     v = state.amplitudes / norm
-    space = _krylov_space(op, v if v.imag.any() else v.real, times)
+    space = _krylov_space(op, v if v.imag.any() else v.real)
     if space is None:
         w, vecs = op.eigensystem()
         coef = _product(vecs.T, state.amplitudes)
         for t in times:
             yield StateVector(_product(vecs, coef * np.exp(-1j * w * t)), state.basis)
         return
-    Q, theta, S, beta = space
+    Q, theta, S = space
     coef = norm * S[0]
-    served, last, t_last = _reach(theta, S, beta, times), state, 0.0
-    for n, t in enumerate(times):
-        if n < served:
-            last = StateVector(_product(Q.T, S @ (coef * np.exp(-1j * theta * t))), state.basis)
-        else:
-            last = evolve(last, op, t - t_last)
-        t_last = t
-        yield last
+    for t in times:
+        yield StateVector(_product(Q.T, S @ (coef * np.exp(-1j * theta * t))), state.basis)
 
 
 def evolve(
     state: StateVector, op: HamiltonianOperator, t: float, tol: float = 1e-10
 ) -> StateVector:
-    """Propagate a state to exp(-iHt)|state> by Krylov steps on the operator's basis.
+    """Propagate a state to exp(-iHt)|state> by Krylov spaces on the operator's basis.
 
-    Substeps are adaptive, with subspaces of at most ``KRYLOV_DIM`` vectors,
-    and the whole propagation is held to ``tol``. ``trajectory`` calls it
-    for the samples its Krylov space does not reach. Unitarity is
-    inherited, not enforced: no renormalization happens.
+    The one sample of ``_steps`` at ``t``, the loop ``trajectory`` runs above
+    the dense cap: restarted spaces of at most ``KRYLOV_DIM`` vectors whose
+    leak bounds sum to at most ``tol``. Unitarity is inherited, not enforced.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
-    v = state.amplitudes.copy()
-    remaining = abs(t)
-    sign = 1.0 if t >= 0 else -1.0
-    dt = remaining
-    budget = tol / max(1.0, remaining)
-    steps = 0
-    while remaining > 1e-15:
-        steps += 1
-        if steps > 10000:
-            raise RuntimeError("Krylov propagation exceeded the step limit")
-        dt = min(dt, remaining)
-        # The subspace stops where a step would grow dt, so growing stays reachable.
-        out, err = _expm_krylov_step(op.matvec, v, sign * dt, 0.01 * budget * dt)
-        if err > budget * dt and dt > 1e-12:
-            dt *= 0.5
-            continue
-        v = out
-        remaining -= dt
-        if err < 0.01 * budget * dt:
-            dt *= 1.5
-    return StateVector(v, state.basis)
+    (out,) = _steps(state, op, [t], tol)
+    return out

@@ -348,12 +348,12 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     lines). The propagation check builds the (0,0) state and the block
     operator that ``run_quench`` would, at h = 0.1 when the config's field
     is zero, and compares ``ed.trajectory`` at t = 1 with ``ed.evolve``,
-    Krylov steps on the config's whole space: the plaquette sector with
+    Krylov spaces on the config's whole space: the plaquette sector with
     ``sector_restrict``, else all 2^N states. The block's amplitudes are
     placed at their positions in that space. The reference knows nothing of
-    the block, so the two cross bases and methods: the eigenphases of the
-    state's Krylov space in the block against Krylov steps on the whole
-    space. It runs at every size the config admits.
+    the block, so the two cross bases, and within the dense cap methods: the
+    block state's closed Krylov space against leak-bounded spaces on the
+    whole space. It runs at every size the config admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one

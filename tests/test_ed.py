@@ -49,27 +49,65 @@ def scatter_matvec(op, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def list_krylov_step(matvec, v, dt, target):
-    """The Krylov step on a list of vectors, looped Gram-Schmidt: the oracle
-    of ``ed._expm_krylov_step``."""
-    basis_vecs = [v]
-    T = np.zeros((ed.KRYLOV_DIM + 1, ed.KRYLOV_DIM + 1))
-    for m in range(1, ed.KRYLOV_DIM + 1):
-        w = matvec(basis_vecs[-1])
-        T[m - 1, m - 1] = np.vdot(basis_vecs[-1], w).real
-        w = orthogonalize(w, basis_vecs)
+def list_lanczos(matvec, v, size):
+    """Lanczos on a list of vectors, looped Gram-Schmidt: the oracle of
+    ``ed._lanczos``, yielding its ``(vectors, evals, evecs, beta)`` after
+    each vector."""
+    vecs = [v]
+    T = np.zeros((size, size))
+    for m in range(1, size + 1):
+        w = matvec(vecs[-1])
+        T[m - 1, m - 1] = np.vdot(vecs[-1], w).real
+        w = orthogonalize(w, vecs)
         b = float(np.linalg.norm(w))
         evals, evecs = np.linalg.eigh(T[:m, :m])
+        yield list(vecs), evals, evecs, b
+        if m < size:
+            T[m, m - 1] = T[m - 1, m] = b
+            vecs.append(w / b)
+
+
+def list_krylov_step(matvec, v, dt, target):
+    """One Krylov step exp(-i H dt) v on ``list_lanczos`` and its error
+    estimate |beta_m u_m|: the space grows until the estimate is within
+    ``target`` (zero on happy breakdown), or to ``ed.KRYLOV_DIM`` vectors."""
+    for vecs, evals, evecs, b in list_lanczos(matvec, v, ed.KRYLOV_DIM):
         u = evecs @ (np.exp(-1j * dt * evals) * evecs[0].conj())
         err = 0.0 if b <= 1e-14 else abs(b * u[-1])
         if err <= target:
             break
-        T[m, m - 1] = T[m - 1, m] = b
-        basis_vecs.append(w / b)
-    out = np.zeros_like(v)
-    for coef, q in zip(u, basis_vecs):
+    out = np.zeros_like(v, dtype=np.complex128)
+    for coef, q in zip(u, vecs):
         out += coef * q
     return out, float(err)
+
+
+def stepped_evolve(state, op, t, tol):
+    """exp(-iHt)|state> by adaptive ``list_krylov_step`` substeps: the
+    matrix-free differential oracle of ``ed.evolve``.
+
+    A substep is accepted when its estimate is within its share of ``tol``,
+    tol * dt / max(1, |t|), and its space stops at 1 % of that share; a
+    rejected substep is halved down to dt = 1e-12, and one well inside its
+    share lets the next grow by half. The estimate has a round-off floor of
+    about 1e-15 to 1e-14, so at a tight tol on a hard state the substeps
+    shrink until the step limit raises.
+    """
+    v = state.amplitudes.copy()
+    remaining, sign = abs(t), 1.0 if t >= 0 else -1.0
+    dt, budget = remaining, tol / max(1.0, remaining)
+    for _ in range(10000):
+        if remaining <= 1e-15:
+            return stabilizer.StateVector(v, state.basis)
+        dt = min(dt, remaining)
+        out, err = list_krylov_step(op.matvec, v, sign * dt, 0.01 * budget * dt)
+        if err > budget * dt and dt > 1e-12:
+            dt *= 0.5
+            continue
+        v, remaining = out, remaining - dt
+        if err < 0.01 * budget * dt:
+            dt *= 1.5
+    raise RuntimeError("Krylov propagation exceeded the step limit")
 
 
 # Largest operator the dense oracle diagonalizes whole: a 4,096-state dense
@@ -127,7 +165,7 @@ def touched_block(spec, space):
 def project_out(w: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``w`` without its components along the orthonormal rows of ``Q``, in
     place: two classical Gram-Schmidt passes of one matrix-vector product
-    pair each, as in ``ed._expm_krylov_step``."""
+    pair each, as in ``ed._lanczos``."""
     for _ in range(2):
         w -= np.conj(Q @ np.conj(w)) @ Q
     return w
@@ -596,28 +634,6 @@ def test_trajectory_krylov_branch_at_strong_field(geo22, monkeypatch, kwargs):
             assert abs(op.expectation(state.amplitudes) - e0) < 1e-8
 
 
-def test_krylov_substeps_grow_after_halving(geo22, monkeypatch):
-    # A long step at h = 9 must be halved; once a substep converges with
-    # room to spare, the next one must be allowed to grow again.
-    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, kappa=1.0, field_mode="split_HV"))
-    rng = np.random.default_rng(7)
-    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-    psi0 = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    step = ed._expm_krylov_step
-    dts = []
-
-    def record(matvec, v, dt, target):
-        dts.append(dt)
-        return step(matvec, v, dt, target)
-
-    monkeypatch.setattr(ed, "_expm_krylov_step", record)
-    out = ed.evolve(psi0, op, 2.5)
-    assert dts[1] < dts[0]
-    assert any(later > earlier for earlier, later in zip(dts, dts[1:]))
-    (exact,) = dense_samples(psi0, op, [2.5])
-    assert np.linalg.norm(out.amplitudes - exact) < 1e-9
-
-
 def test_winding_loops_commute_with_bare_hamiltonian(geo22):
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22))
     rng = np.random.default_rng(89)
@@ -649,6 +665,15 @@ def test_evolve_errors(geo22):
     amps = np.full(small.dimension, small.dimension**-0.5)
     with pytest.raises(ValueError, match="bases"):
         ed.evolve(stabilizer.StateVector(amps, foreign), small, 1.0)
+
+
+def test_no_times_yield_no_samples_on_either_side_of_the_cap(geo22, monkeypatch):
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0))
+    psi = stabilizer.ground_state(geo22)
+    assert list(ed.trajectory(psi, op, [])) == []
+    monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 1)
+    assert ed.propagation(op.dimension) == "krylov"
+    assert list(ed.trajectory(psi, op, [])) == []
 
 
 # (L1, L2, sector basis, couplings, block size), all at h = 9
@@ -874,8 +899,7 @@ def test_quench_state_space_closes_within_the_limit(l1, l2, field, monkeypatch):
         op = ed.build_hamiltonian(spec, ed.build_block(spec))
         assert ed.propagation(op.dimension) == "spectrum"
         psi0 = stabilizer.ground_state(geo, (0, 0), op.basis)
-        Q, theta, S, beta = ed._krylov_space(op, psi0.amplitudes, [100.0])
-        assert beta == 0.0
+        Q, theta, S = ed._krylov_space(op, psi0.amplitudes)
         assert theta.size <= ed.CLOSURE_LIMIT and theta.size < op.dimension
         assert np.max(np.abs(Q @ Q.conj().T - np.eye(theta.size))) < 1e-12
         # A Ritz value lies within its residual beta_m |S_mj| of the
@@ -898,7 +922,7 @@ def test_random_state_falls_back_to_the_eigensystem(geo33, monkeypatch):
     rng = np.random.default_rng(647)
     amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     psi = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    assert ed._krylov_space(op, psi.amplitudes, [1.0]) is None
+    assert ed._krylov_space(op, psi.amplitudes) is None
     calls = []
     eigensystem = ed.HamiltonianOperator.eigensystem
 
@@ -1004,25 +1028,31 @@ def test_block_krylov_matches_whole_basis_krylov_on_3x3(krylov_quench_33):
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
-def recording_trajectory_routes(monkeypatch):
-    """Record the dtype of every Krylov space a trajectory builds and the
-    length of every ``ed.evolve`` call it falls back to."""
-    dtypes, steps = [], []
-    krylov_space = ed._krylov_space
-    evolve = ed.evolve
+def recording_steps(monkeypatch):
+    """Record every Krylov space ``ed._steps`` builds, the state's and each
+    restart's, as ``[v, vectors, served, held]``: its start vector, its
+    size, how many samples it serves and the farthest time it holds,
+    counted from its start."""
+    spaces = []
+    lanczos, reach = ed._lanczos, ed._reach
 
-    def recording_space(op, v, times):
-        space = krylov_space(op, v, times)
-        dtypes.append(space[0].dtype)
-        return space
+    def recording_lanczos(matvec, v, size):
+        spaces.append([v, 0, 0, 0.0])
+        yield from lanczos(matvec, v, size)
 
-    def recording_evolve(state, op, t, tol=1e-10):
-        steps.append(t)
-        return evolve(state, op, t, tol)
+    def recording_reach(theta, S, beta, times, rate):
+        count, held = reach(theta, S, beta, times, rate)
+        spaces[-1][1:] = theta.size, count, held
+        return count, held
 
-    monkeypatch.setattr(ed, "_krylov_space", recording_space)
-    monkeypatch.setattr(ed, "evolve", recording_evolve)
-    return dtypes, steps
+    monkeypatch.setattr(ed, "_lanczos", recording_lanczos)
+    monkeypatch.setattr(ed, "_reach", recording_reach)
+    return spaces
+
+
+def restart_times(spaces):
+    """The times the recorded spaces after the first start from."""
+    return list(np.cumsum([held for *_, held in spaces[:-1]]))
 
 
 def seeded_complex_state(op, seed):
@@ -1032,19 +1062,19 @@ def seeded_complex_state(op, seed):
 
 
 @pytest.mark.parametrize("h,state,t_max,evolved", [
-    (0.3, "quench", 0.2, []), (0.3, "quench", 1.0, []), (9.0, "quench", 1.0, [0.3, 0.5]),
-    (0.3, "random", 1.0, [0.5]),
+    (0.3, "quench", 0.2, []), (0.3, "quench", 1.0, []), (9.0, "quench", 1.0, [0.5, 1.0]),
+    (0.3, "random", 1.0, [1.0]),
 ])
 def test_krylov_block_samples_hold_the_tol_against_tight_evolve(
     krylov_quench_33, monkeypatch, h, state, t_max, evolved
 ):
     # The 32,768-state split_HV block, above the dense cap, out to t = 1:
-    # every sample is within evolve's tol of evolve at tol 1e-13, stepped
-    # from sample to sample (6.7e-13 seen, with the benchmark's 13 vectors
-    # to t = 0.2). The real quench state's space is built in real
-    # arithmetic; at h = 0.3 it reaches every time, at h = 9 its 30 vectors
-    # reach t = 0.2 and the later samples are stepped by evolve. A seeded
-    # complex state's space is complex and falls back to evolve at t = 1.
+    # every sample is within 1e-10 of the stepping oracle at tol 1e-13,
+    # stepped from sample to sample (6.7e-13 seen, with the benchmark's 13
+    # vectors to t = 0.2). The real quench state's first space is real; at
+    # h = 0.3 it holds every time, at h = 9 its 30 vectors hold t = 0.2 and
+    # restarted spaces serve ``evolved``, the later samples. A seeded
+    # complex state's space is complex and leaves t = 1 to a restart.
     op = krylov_quench_33[0]
     if h != 0.3:
         spec = ed.HamiltonianSpec(lattice.build_lattice(3, 3), h=h, kappa=1.0,
@@ -1053,41 +1083,48 @@ def test_krylov_block_samples_hold_the_tol_against_tight_evolve(
     assert op.dimension == 32768 and ed.propagation(op.dimension) == "krylov"
     psi = krylov_quench_33[1] if state == "quench" else seeded_complex_state(op, 5)
     times = [t for t in (0.0, 0.1, 0.2, 0.5, 1.0) if t <= t_max]
-    dtypes, steps = recording_trajectory_routes(monkeypatch)
+    spaces = recording_steps(monkeypatch)
     samples = list(ed.trajectory(psi, op, times))
-    assert dtypes == [np.float64 if state == "quench" else np.complex128]
-    assert steps == evolved
+    assert spaces[0][0].dtype == (np.float64 if state == "quench" else np.complex128)
+    assert all(v.dtype == np.complex128 for v, *_ in spaces[1:])
+    assert times[spaces[0][2]:] == evolved and (len(spaces) > 1) == bool(evolved)
     monkeypatch.undo()
     want, t_prev = psi, 0.0
     for t, sample in zip(times, samples):
-        want, t_prev = ed.evolve(want, op, t - t_prev, tol=1e-13), t
+        want, t_prev = stepped_evolve(want, op, t - t_prev, tol=1e-13), t
         assert np.max(np.abs(sample.amplitudes - want.amplitudes)) < 1e-10
 
 
 @pytest.mark.parametrize("times,evolved", [
-    ([0.0, 0.01, 0.1, 0.5, 1.0, 99.5, 100.0], [1.0 - 0.5, 99.5 - 1.0, 100.0 - 99.5]),
-    ([50.0 + 0.5 * k for k in range(11)], [50.0] + [0.5] * 10),
+    ([0.0, 0.01, 0.1, 0.5, 1.0, 99.5, 100.0], [0.5, 1.0, 99.5, 100.0]),
+    ([50.0 + 0.5 * k for k in range(11)], [50.0 + 0.5 * k for k in range(11)]),
 ], ids=["to-t100", "window-from-t50"])
 def test_krylov_fallback_holds_the_tol_at_strong_field(geo22, monkeypatch, times, evolved):
     # The hardest regime of the Krylov route, h = 9 out to t = 100, on the
     # 2x2 full space with the dense cap lowered below it, against its dense
-    # spectrum. (On the 32,768-state 3x3 block one such trajectory takes
-    # about 95 s of evolve steps.) The quench state's space closes and
-    # reaches every time. A seeded complex state's space reaches t = 0.5,
-    # and every later sample is stepped by evolve from the one before; a
-    # sweep's window, which starts at t = 50 with no earlier sample, it
-    # reaches not at all, so the first sample is stepped from the state.
+    # spectrum. The quench state's space closes and holds every time. A
+    # seeded complex state's space holds t = 0.1 and leaves ``evolved`` to
+    # restarted spaces (over a hundred to t = 100), a sweep's window from
+    # t = 50 all of it. Each restart starts at or past the last sample
+    # served before it and before the next one.
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, kappa=1.0, field_mode="split_HV"))
     monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 1)
     assert ed.propagation(op.dimension) == "krylov"
-    dtypes, steps = recording_trajectory_routes(monkeypatch)
-    for psi, want_steps in ((stabilizer.ground_state(geo22), []),
-                            (seeded_complex_state(op, 5), evolved)):
-        steps.clear()
+    spaces = recording_steps(monkeypatch)
+    recorded = []
+    for psi in (stabilizer.ground_state(geo22), seeded_complex_state(op, 5)):
+        spaces.clear()
         for want, sample in zip(dense_samples(psi, op, times), ed.trajectory(psi, op, times)):
             assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
-        assert steps == want_steps
-    assert dtypes == [np.float64, np.complex128]
+        recorded.append(list(spaces))
+    ((v, _, served, _),), spaces = recorded
+    assert v.dtype == np.float64 and served == len(times)
+    assert all(v.dtype == np.complex128 for v, *_ in spaces)
+    assert times[spaces[0][2]:] == evolved and len(spaces) > 1
+    served = np.cumsum([count for *_, count, _ in spaces])
+    assert served[-1] == len(times)
+    for n, start in zip(served, restart_times(spaces)):
+        assert (n == 0 or times[n - 1] <= start) and start < times[n]
 
 
 @pytest.fixture(scope="module")
@@ -1106,30 +1143,43 @@ def krylov_quench_33_h1():
 
 def test_krylov_reach_bounds_the_leak_over_the_whole_interval(krylov_quench_33_h1):
     # At 28 vectors the leak estimate at t = 55 alone, t beta |u_m(t)|, dips
-    # within 1e-10 (8.6e-11) while its maximum over [0, 55] is 5e-10: the
-    # space does not reach t = 55, nor t = 50, where the estimate is larger.
+    # within 1e-10 (8.6e-11) while its maximum over [0, 55] is 5e-10: at the
+    # rate 1e-10 / 55 the space does not hold t = 55, nor t = 5 and 50. It
+    # holds up to a grid time near t = 2.1, and on a fine grid the leak
+    # bound over [0, held] is within the rate there.
     theta, S, beta = krylov_quench_33_h1[2][27]
     assert 55.0 * beta * abs((S[-1] * S[0]) @ np.exp(-55j * theta)) <= 1e-10
-    assert ed._reach(theta, S, beta, [55.0]) == 0
-    assert ed._reach(theta, S, beta, [0.0, 1.0, 5.0, 50.0, 55.0]) == 3
-    assert ed._reach(theta, S, 0.0, [55.0]) == 1
+
+    def leak_rate(t):
+        fine = np.linspace(0.0, t, 10001)
+        return beta * np.abs(np.exp(-1j * np.outer(fine, theta)) @ (S[-1] * S[0])).max()
+
+    rate = 1e-10 / 55.0
+    assert leak_rate(55.0) > 4 * rate
+    for times, want in (([55.0], 0), ([0.0, 1.0, 5.0, 50.0, 55.0], 2)):
+        count, held = ed._reach(theta, S, beta, times, rate)
+        assert count == want and 1.0 < held < 5.0
+        assert leak_rate(held) <= rate
+    assert ed._reach(theta, S, 0.0, [55.0], rate) == (1, 55.0)
 
 
 def test_krylov_window_starting_late_is_served_by_the_block_space(krylov_quench_33_h1, monkeypatch):
     # A sweep's window (50, 55) on the 32,768-state block, above the dense
-    # cap, with no earlier sample: the quench state's 30-vector space reaches
-    # all of it, and every sample is within 1e-10 of the 60-vector space's,
-    # whose leak rate bounds its own error at t = 55 by 1e-12.
+    # cap, with no earlier sample: the quench state's one real space of
+    # KRYLOV_DIM vectors holds all of it, and every sample is within 1e-10
+    # of the 60-vector space's, whose leak rate bounds its own error at
+    # t = 55 by 1e-12.
     op, psi0, spaces, Q = krylov_quench_33_h1
     theta, S, beta = spaces[-1]
     assert 55.0 * beta * np.abs(S[-1] * S[0]).sum() < 1e-12
     times = [50.0 + 0.5 * k for k in range(11)]
-    assert ed._krylov_space(op, psi0.amplitudes.real, times)[1].size == ed.KRYLOV_DIM
-    dtypes, steps = recording_trajectory_routes(monkeypatch)
+    steps = recording_steps(monkeypatch)
     for t, sample in zip(times, ed.trajectory(psi0, op, times)):
         want = (S @ (S[0] * np.exp(-1j * theta * t))) @ Q
         assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
-    assert dtypes == [np.float64] and steps == []
+    ((v, vectors, served, held),) = steps
+    assert v.dtype == np.float64 and vectors == ed.KRYLOV_DIM
+    assert (served, held) == (len(times), 55.0)
 
 
 def matvec_case(name):
@@ -1157,40 +1207,37 @@ def test_gather_matvec_equals_scatter_oracle(name):
     assert np.array_equal(op.matvec(v), scatter_matvec(op, v))
 
 
-def counted_step(step, op, v, dt, target):
-    """A Krylov step's result, error estimate and subspace size (its matvecs)."""
-    calls = []
-
-    def matvec(x):
-        calls.append(1)
-        return op.matvec(x)
-
-    out, err = step(matvec, v, dt, target)
-    return out, err, len(calls)
-
-
 @pytest.mark.parametrize("l2", [2, 3])
 def test_krylov_step_matches_list_oracle(l2):
+    # ed._lanczos, rows of one array reorthogonalized by matrix products,
+    # against looped Gram-Schmidt on a list of vectors: the same vectors,
+    # tridiagonal spectrum, beta and propagator column u(dt) after every
+    # vector, until the space closes or holds KRYLOV_DIM vectors.
     geo = lattice.build_lattice(2, l2)
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo, h=9.0, kappa=1.0, field_mode="split_HV"))
     rng = np.random.default_rng(61)
     noise = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     sizes = []
     for v in (stabilizer.ground_state(geo).amplitudes, noise / np.linalg.norm(noise)):
-        for dt in (0.01, -0.03, 0.1, 0.3, 3.0):
-            target = 1e-10 * abs(dt)
-            got, err, size = counted_step(ed._expm_krylov_step, op, v, dt, target)
-            want, want_err, want_size = counted_step(list_krylov_step, op, v, dt, target)
-            assert size == want_size
-            if size < ed.KRYLOV_DIM:
-                assert err <= target and want_err <= target
-                assert np.max(np.abs(got - want)) < 1e-13
-            else:
-                # A step that ran out of subspace is only as good as its estimate.
-                assert np.max(np.abs(got - want)) < want_err
-            sizes.append(size)
-    # Both ends run: happy breakdown on the quench state, and a full subspace.
-    assert min(sizes) < ed.KRYLOV_DIM == max(sizes)
+        pairs = zip(ed._lanczos(op.matvec, v, ed.KRYLOV_DIM),
+                    list_lanczos(op.matvec, v, ed.KRYLOV_DIM))
+        for (Q, evals, evecs, b), (vecs, want_evals, want_evecs, want_b) in pairs:
+            # Rounding grows along the vectors as Ritz values converge
+            # (6e-9 at the 27th of a random 2x2 state, just before it closes).
+            assert np.max(np.abs(Q - np.array(vecs))) < 1e-8
+            assert np.max(np.abs(evals - want_evals)) < 1e-12
+            for dt in (0.01, -0.03, 0.1, 0.3, 3.0):
+                u = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
+                want_u = want_evecs @ (np.exp(-1j * dt * want_evals) * want_evecs[0])
+                assert np.max(np.abs(u - want_u)) < 1e-12
+            if b < 1e-3:
+                assert want_b < 1e-3
+                break
+            assert abs(b - want_b) < 1e-12
+        sizes.append(evals.size)
+    # The quench state's space closes; a random state's closes at its 27
+    # distinct eigenvalues on 2x2 and runs to KRYLOV_DIM vectors on 2x3.
+    assert sizes == {2: [8, 27], 3: [11, ed.KRYLOV_DIM]}[l2]
 
 
 @pytest.mark.parametrize("t", [2.5, 100.0])
@@ -1199,37 +1246,58 @@ def test_krylov_step_matches_list_oracle(l2):
 )
 def test_krylov_error_budget_against_exact_substeps(geo22, monkeypatch, kwargs, t):
     # The budget is on the whole propagation: the exact errors of the
-    # accepted substeps, summed, and the final error both stay within tol.
-    # A single substep is not held to its estimate |beta_m u_m|: once that
-    # estimate is below about 1e-13, the exact error is set by rounding and
-    # can exceed it (up to 17x seen on this 2x2 space, 14x on 2x3 split_HV).
+    # restarted spaces' segments, summed, and the final error both stay
+    # within tol. Each segment runs from a space's start vector to the next
+    # one's, the last to the sample, and together they cover [0, t].
     tol = 1e-10
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, **kwargs))
     w, vecs = dense_eigh(op)
-    rng = np.random.default_rng(53)
-    amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
-    psi0 = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    step = ed._expm_krylov_step
-    calls = []
-
-    def record(matvec, v, dt, target):
-        out, err = step(matvec, v, dt, target)
-        calls.append((v, dt, out))
-        return out, err
-
-    monkeypatch.setattr(ed, "_expm_krylov_step", record)
+    psi0 = seeded_complex_state(op, 53)
+    spaces = recording_steps(monkeypatch)
     final = ed.evolve(psi0, op, t, tol=tol)
-    # A substep was accepted when the next one starts from its output.
-    starts = [v for v, _, _ in calls[1:]] + [final.amplitudes]
-    accepted = [(v, dt, out) for (v, dt, out), nxt in zip(calls, starts) if nxt is out]
-    assert abs(sum(dt for _, dt, _ in accepted) - t) < 1e-9
+    starts = restart_times(spaces)
+    assert len(spaces) > 1 and 0.0 < starts[0] and starts[-1] < t
+    ends = [v for v, *_ in spaces[1:]] + [final.amplitudes / np.linalg.norm(psi0.amplitudes)]
+    spans = np.diff([0.0, *starts, t])
     summed = sum(
-        np.linalg.norm(out - vecs @ (np.exp(-1j * w * dt) * (vecs.conj().T @ v)))
-        for v, dt, out in accepted
+        np.linalg.norm(end - vecs @ (np.exp(-1j * w * dt) * (vecs.conj().T @ v)))
+        for (v, *_), end, dt in zip(spaces, ends, spans)
     )
     assert summed <= tol
     (exact,) = dense_samples(psi0, op, [t])
     assert np.linalg.norm(final.amplitudes - exact) <= tol
+
+
+def test_evolve_finishes_at_a_tight_tol_on_a_hard_state(geo23):
+    # The 2x3 full space (4,096 states) under split_HV at h = 9 and a seeded
+    # random state: the stepping oracle at tol 1e-13 shrinks its substeps to
+    # the step limit, since its pointwise estimate has a round-off floor
+    # above a small substep's share. Restarted spaces finish, and agree with
+    # the oracle at tol 1e-10.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo23, h=9.0, kappa=1.0, field_mode="split_HV"))
+    psi = seeded_complex_state(op, 53)
+    got = ed.evolve(psi, op, 2.5, tol=1e-13)
+    want = stepped_evolve(psi, op, 2.5, tol=1e-10)
+    assert np.linalg.norm(got.amplitudes - want.amplitudes) <= 1e-10
+
+
+def test_evolve_refuses_a_tol_below_round_off(geo23):
+    # At tol 1e-20 the leak bound's round-off floor is above the rate at
+    # every grid time: one space of KRYLOV_DIM vectors holds none, and
+    # evolve raises rather than restart from where it started.
+    op = ed.build_hamiltonian(ed.HamiltonianSpec(geo23, h=9.0, kappa=1.0, field_mode="split_HV"))
+    psi = seeded_complex_state(op, 53)
+    calls = []
+    matvec = op.matvec
+
+    def counted(v):
+        calls.append(1)
+        return matvec(v)
+
+    op.matvec = counted
+    with pytest.raises(RuntimeError, match="holds no time"):
+        ed.evolve(psi, op, 2.5, tol=1e-20)
+    assert len(calls) <= ed.KRYLOV_DIM
 
 
 def test_real_eigenvector_samples_match_the_complex_product_at_strong_field(geo33):

@@ -287,19 +287,6 @@ def test_verify_sector_mode():
         assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
-def recording_evolve(monkeypatch):
-    """Record the dimension of every ``ed.evolve`` (Krylov) call."""
-    calls = []
-    evolve = ed.evolve
-
-    def recording(state, op, t, tol=1e-10):
-        calls.append(op.dimension)
-        return evolve(state, op, t, tol)
-
-    monkeypatch.setattr(ed, "evolve", recording)
-    return calls
-
-
 def recording_operators(monkeypatch):
     """Record the basis dimension of every ``HamiltonianOperator`` built."""
     dims = []
@@ -314,24 +301,33 @@ def recording_operators(monkeypatch):
 
 
 def recording_spectral_routes(monkeypatch):
-    """Record the route of every trajectory: ("closed", block dimension,
-    vectors in the state's closed Krylov space), ("krylov", ...) for a space
-    above the dense cap, which is not closed, or ("eigensystem", block
-    dimension) for the fallback within the cap."""
+    """Record the route of every propagation: ["closed", block dimension,
+    vectors] for a trajectory's space closed within the dense cap, ["open",
+    ...] for one still open at ``ed.CLOSURE_LIMIT`` and then
+    ["eigensystem", block dimension] for its fallback, and ["krylov",
+    dimension, vectors] for each space ``ed._steps`` builds, the state's and
+    each restart's, above the cap and in ``ed.evolve``."""
     routes = []
-    krylov_space = ed._krylov_space
+    lanczos, krylov_space = ed._lanczos, ed._krylov_space
     eigensystem = ed.HamiltonianOperator.eigensystem
 
-    def recording_space(op, v, times):
-        space = krylov_space(op, v, times)
-        if space is not None:
-            routes.append(("krylov" if space[3] else "closed", op.dimension, space[1].size))
+    def recording_lanczos(matvec, v, size):
+        route = ["krylov", matvec.__self__.dimension, 0]
+        routes.append(route)
+        for space in lanczos(matvec, v, size):
+            route[2] += 1
+            yield space
+
+    def recording_space(op, v):
+        space = krylov_space(op, v)
+        routes[-1][0] = "open" if space is None else "closed"
         return space
 
     def recording_eigensystem(self):
-        routes.append(("eigensystem", self.dimension))
+        routes.append(["eigensystem", self.dimension])
         return eigensystem(self)
 
+    monkeypatch.setattr(ed, "_lanczos", recording_lanczos)
     monkeypatch.setattr(ed, "_krylov_space", recording_space)
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording_eigensystem)
     return routes
@@ -346,16 +342,14 @@ def closed_blocks(routes):
 
 def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
     # The run's 256-state block operator and the 1024-state sector
-    # reference are built. Krylov steps the whole sector; the trajectory
-    # closes the quench state's space in the block.
-    calls = recording_evolve(monkeypatch)
+    # reference are built. The trajectory closes the quench state's space
+    # in the block; evolve's one Krylov space runs on the whole sector.
     dims = recording_operators(monkeypatch)
     routes = recording_spectral_routes(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
     assert dims == [256, 1024]
-    assert calls == [1024]
-    assert closed_blocks(routes) == [256]
+    assert closed_blocks(routes[:1]) == [256] and routes[1:] == [["krylov", 1024, 13]]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
@@ -364,8 +358,7 @@ def test_krylov_quench_reads_every_sample_from_one_space(monkeypatch, h):
     # The benchmark's 3x3 full-space split_HV quench (h within 5 % of 0.3,
     # to t = 0.2): its 32,768-state block is above the dense cap, and one
     # Krylov space of at most 16 vectors serves every sample, with no
-    # evolve step.
-    calls = recording_evolve(monkeypatch)
+    # restart.
     routes = recording_spectral_routes(monkeypatch)
     report = quench.run_quench(quench.QuenchConfig(
         L1=3, L2=3, h=h, kappa=1.0, field_mode="split_HV", t_max=0.2, dt=0.1,
@@ -375,7 +368,6 @@ def test_krylov_quench_reads_every_sample_from_one_space(monkeypatch, h):
     assert len(report.times) == 3
     ((route, block, vectors),) = routes
     assert route == "krylov" and block == 32768 and vectors <= 16
-    assert calls == []
 
 
 def test_verify_flags_defective_partition(monkeypatch):
@@ -478,17 +470,19 @@ def test_verify_runs_its_invariants_on_the_sector(monkeypatch):
 ], ids=["2x3-uniform_z", "3x3-uniform_z", "3x3-split_HV"])
 def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field, block):
     # A full-space config checks its block's propagation against Krylov
-    # steps on the whole 2^N basis, above the dense cap too. Under split_HV
+    # spaces on the whole 2^N basis, above the dense cap too. Under split_HV
     # the block is above the cap as well; the t = 1 sample still comes from
-    # the state's Krylov space, not from stepping the block.
-    calls = recording_evolve(monkeypatch)
+    # the state's one Krylov space, with no restart, and so does the whole
+    # basis's.
+    routes = recording_spectral_routes(monkeypatch)
     dims = recording_operators(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=l1, L2=l2, h=0.1, **field))
     assert ok, lines
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [block, 1 << 2 * l1 * l2]
-    assert calls == [1 << 2 * l1 * l2]
+    kinds = ["krylov" if field else "closed", "krylov"]
+    assert [route[:2] for route in routes] == [[kind, dim] for kind, dim in zip(kinds, dims)]
 
 
 @pytest.mark.parametrize("config", [
@@ -500,21 +494,28 @@ def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
     # Eigenphases of the state's Krylov space off by 1e-7 to 2e-7 are seen
     # by the propagation check and by no other: the closed space within the
     # dense cap, and under split_HV the 32,768-state block's open space.
-    krylov_space = ed._krylov_space
-    routes = []
+    # Only the first operator's spaces, the block's, are perturbed; the
+    # whole-space reference runs on a second one.
+    lanczos = ed._lanczos
+    spaces = []  # the operator of each perturbed space
 
-    def perturbed(op, v, times):
-        Q, theta, S, beta = krylov_space(op, v, times)
-        routes.append(ed.propagation(op.dimension))
-        return Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S, beta
+    def perturbed(matvec, v, size):
+        op = matvec.__self__
+        if spaces and op is not spaces[0]:
+            yield from lanczos(matvec, v, size)
+            return
+        spaces.append(op)
+        for Q, theta, S, beta in lanczos(matvec, v, size):
+            yield Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S, beta
 
-    monkeypatch.setattr(ed, "_krylov_space", perturbed)
+    monkeypatch.setattr(ed, "_lanczos", perturbed)
     ok, lines = quench.verify(config)
     assert not ok
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1 and len(lines) == 8
     assert fails[0].startswith("FAIL block vs whole-basis propagation")
-    assert routes == ["krylov" if config.field_mode == "split_HV" else "spectrum"]
+    assert [ed.propagation(op.dimension) for op in spaces] == [
+        "krylov" if config.field_mode == "split_HV" else "spectrum"]
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
