@@ -19,8 +19,11 @@ samples come from the propagator ``evolve`` runs on any basis, restarted
 spaces of the same Lanczos loop: a space grows until a bound on the
 weight leaking out of it by each remaining time is within its share of
 the tol, or to ``KRYLOV_DIM`` vectors, serves the times it holds and
-restarts from the farthest it holds. The 3x3 ``split_HV``
-quench to t = 0.2 at h = 0.3 takes one space of 13 vectors. Every
+restarts from the farthest it holds. A state fixed by some of the
+operator's lattice maps runs those spaces on its orbits, one unit vector
+per orbit (``_OrbitOperator``): the 3x3 ``split_HV`` block of 32,768
+states has 1,110, and its quench to t = 0.2 at h = 0.3 takes one space
+of 13 vectors on them. Every
 operator is real symmetric, so a real state's space and the eigenvectors
 are real: a sample is then one real product with the float view of its
 complex coefficients, a quarter of the complex product's arithmetic.
@@ -29,12 +32,13 @@ complex coefficients, a quarter of the complex product's arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .gf2 import mask, row_reduce
-from .lattice import LatticeGeometry
+from .gf2 import mask, permute, row_reduce
+from .lattice import LatticeGeometry, symmetry_generators
 from .pauli import PauliOperator, pauli_x, pauli_z, single
 from .stabilizer import Basis, StateVector, check_dimension, full_basis
 
@@ -153,11 +157,23 @@ class HamiltonianOperator:
     elements (an odd number of Y factors) are refused, so every weight is a
     float. A term whose flip leaves the basis's span, and so maps every
     state out of it, is refused, as is a diagonal that overflows.
+
+    ``symmetries`` are spin permutations, such as the lattice maps that
+    ``build_hamiltonian`` passes from ``lattice.symmetry_generators``.
+    ``symmetry_maps`` keeps, on first use, those that map the weighted terms
+    and the basis's span onto themselves, as position maps. An operator
+    built directly gets none, so it propagates on its whole basis.
     """
 
-    def __init__(self, terms: Sequence[tuple[float, PauliOperator]], basis: Basis):
+    def __init__(
+        self,
+        terms: Sequence[tuple[float, PauliOperator]],
+        basis: Basis,
+        symmetries: Sequence[tuple[int, ...]] = (),
+    ):
         self.basis = basis
         self.terms = tuple((float(c), op) for c, op in terms)
+        self._symmetries = tuple(symmetries)
         diag = np.zeros(basis.dimension)
         offdiag = []
         for coef, op in self.terms:
@@ -191,6 +207,24 @@ class HamiltonianOperator:
     def dimension(self) -> int:
         return self.basis.dimension
 
+    @cached_property
+    def symmetry_maps(self) -> tuple[np.ndarray, ...]:
+        """Position maps (``Basis.permutation_positions``) of the spin
+        permutations given as ``symmetries`` that map the weighted terms and
+        the basis's span onto themselves, in their given order. Each
+        commutes with the operator. Built on first use."""
+        if not self._symmetries:
+            return ()
+
+        def weighted(perm):
+            return sorted((c, op.phase_exp, permute(op.x_mask, perm), permute(op.z_mask, perm))
+                          for c, op in self.terms if c)
+
+        terms = weighted(range(self.basis.n_spins))
+        maps = (self.basis.permutation_positions(perm) for perm in self._symmetries
+                if weighted(perm) == terms)
+        return tuple(p for p in maps if p is not None)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self._diag * v
         for weight, perm, signs in self._offdiag:
@@ -200,8 +234,16 @@ class HamiltonianOperator:
     def expectation(self, v: np.ndarray) -> float:
         return float(np.vdot(v, self.matvec(v)).real)
 
+    def _refuse_above_cap(self) -> None:
+        if self.dimension > FULL_SPECTRUM_CAP:
+            raise ValueError(
+                f"basis of {self.dimension} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
+            )
+
     def dense(self) -> np.ndarray:
-        """Dense matrix over the operator's basis."""
+        """Dense matrix over the operator's basis, refused above the dense
+        cap before it is allocated."""
+        self._refuse_above_cap()
         cols = np.arange(self.dimension)
         mat = np.diag(self._diag)
         for weight, perm, signs in self._offdiag:
@@ -215,15 +257,13 @@ class HamiltonianOperator:
         as the float64 columns ``eigh`` returns. A basis above the dense cap
         is refused before the ``eigh`` runs.
         """
-        if self.dimension > FULL_SPECTRUM_CAP:
-            raise ValueError(
-                f"basis of {self.dimension} states exceeds the dense cap {FULL_SPECTRUM_CAP}"
-            )
+        self._refuse_above_cap()
         return np.linalg.eigh(self.dense())
 
 
 def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
-    """Assemble the matrix-free operator for a coupling spec.
+    """Assemble the matrix-free operator for a coupling spec, with the
+    lattice's ``symmetry_generators`` as its candidate symmetries.
 
     ``basis`` defaults to the full 2^N space; pass ``build_block(spec)``,
     or the ``build_sector`` basis when every term commutes with the
@@ -231,7 +271,7 @@ def build_hamiltonian(spec: HamiltonianSpec, basis=None) -> HamiltonianOperator:
     """
     if basis is None:
         basis = full_basis(spec.geometry.n_spins)
-    return HamiltonianOperator(spec.term_list(), basis)
+    return HamiltonianOperator(spec.term_list(), basis, symmetry_generators(spec.geometry))
 
 
 def _lanczos(
@@ -338,6 +378,65 @@ def _krylov_space(
     return None
 
 
+class _OrbitOperator:
+    """An operator on the orbits of its basis under position maps that
+    commute with it, for the states those maps fix: one unit vector per
+    orbit O_a, its n_a states summed over sqrt(n_a) (Sandvik,
+    arXiv:1101.3281).
+
+    Orbits are labelled by their least position, from a running minimum over
+    the maps until it stops changing. The reduced operator is real
+    symmetric, H_red[a, b] = sqrt(n_a / n_b) * sum_{j in O_b} H[rep_a, j],
+    rep_a the label, and is kept as a table of columns and values, one per
+    off-diagonal term and one for the diagonal in each row, so ``matvec`` is
+    one gather, one product and one row sum, for real and complex vectors
+    alike.
+    """
+
+    def __init__(self, op: HamiltonianOperator, maps: Sequence[np.ndarray]):
+        self.maps = tuple(maps)
+        positions = np.arange(op.dimension)
+        labels, changed = positions, True
+        while changed:
+            new = labels
+            for p in maps:
+                new = np.minimum(new, new[p])
+            labels, changed = new, not np.array_equal(new, labels)
+        is_rep = labels == positions
+        self._reps = reps = np.flatnonzero(is_rep)
+        self._orbit = (np.cumsum(is_rep) - 1)[labels]
+        self._root = np.sqrt(np.bincount(self._orbit))
+        cols, vals = [np.arange(reps.size)], [op._diag[reps]]
+        for weight, perm, signs in op._offdiag:
+            j = perm[reps]
+            cols.append(self._orbit[j])
+            vals.append((weight if signs is None else weight * signs[j])
+                        * self._root / self._root[cols[-1]])
+        self._cols, self._vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+
+    @property
+    def dimension(self) -> int:
+        return self._reps.size
+
+    def matvec(self, y: np.ndarray) -> np.ndarray:
+        return (self._vals * y[self._cols]).sum(axis=1)
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """The orbit amplitudes of a block vector the maps fix."""
+        return self._root * v[self._reps]
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """The block vector of orbit amplitudes: one gather."""
+        return (y / self._root)[self._orbit]
+
+
+def _orbit_space(op: HamiltonianOperator, v: np.ndarray) -> _OrbitOperator | None:
+    """The orbit operator of the maps in ``op.symmetry_maps`` that fix ``v``
+    exactly, None when none does."""
+    maps = [p for p in op.symmetry_maps if np.array_equal(v[p], v)]
+    return _OrbitOperator(op, maps) if maps else None
+
+
 def _steps(
     state: StateVector, op: HamiltonianOperator, times: Sequence[float], tol: float
 ) -> Iterator[StateVector]:
@@ -352,21 +451,33 @@ def _steps(
     starts from its vector at the farthest grid time it holds; a space that
     holds none past its start, as under a tol below round-off, raises
     RuntimeError. The norm is carried, never renormalized.
+
+    The spaces run on the orbits of the operator's ``symmetry_maps`` that
+    fix the initial state exactly, ``amps[p] == amps``: they fix its
+    evolution too, so the loop starts from sqrt(n) * psi at the orbit
+    representatives on the real symmetric ``_OrbitOperator`` and expands
+    each sample with one gather, psi[k] = y[orbit k] / sqrt(n_orbit k). On
+    the 3x3 ``split_HV`` block four maps are kept (the transpose swaps the
+    horizontal and vertical fields), generating 36 maps and 1,110 orbits of
+    the 32,768 states. A state no map fixes runs on ``op.matvec``.
     """
     span = max(map(abs, times), default=0.0)
     rate = tol / span if span else np.inf
-    size = min(op.dimension, KRYLOV_DIM)
     norm = float(np.linalg.norm(state.amplitudes))
     v, start, n = state.amplitudes / norm, 0.0, 0
+    orbits = _orbit_space(op, v)
+    space, v = (op, v) if orbits is None else (orbits, orbits.restrict(v))
+    size = min(space.dimension, KRYLOV_DIM)
     while n < len(times):
         rest = [t - start for t in times[n:]]
-        for Q, theta, S, beta in _lanczos(op.matvec, v if v.imag.any() else v.real, size):
+        for Q, theta, S, beta in _lanczos(space.matvec, v if v.imag.any() else v.real, size):
             count, held = _reach(theta, S, beta, rest, rate)
             if count == len(rest):
                 break
         coef = norm * S[0]
         for t in rest[:count]:
-            yield StateVector(_product(Q.T, S @ (coef * np.exp(-1j * theta * t))), state.basis)
+            y = _product(Q.T, S @ (coef * np.exp(-1j * theta * t)))
+            yield StateVector(y if orbits is None else orbits.expand(y), state.basis)
         n += count
         if n < len(times):
             if not held:
@@ -394,8 +505,10 @@ def trajectory(
 
     Above the cap the samples come from ``_steps`` at tol 1e-10, the loop
     ``evolve`` runs: the state's Krylov space serves the times it holds and
-    restarted spaces the rest. The 3x3 ``split_HV`` quench state's first
-    space, 13 real vectors at h = 0.3, serves every sample to t = 0.2.
+    restarted spaces the rest, on the state's orbits under the operator's
+    lattice maps when any map fixes it. The 3x3 ``split_HV`` quench state's
+    first space, 13 real vectors on the 1,110 orbits of its block at
+    h = 0.3, serves every sample to t = 0.2.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")
@@ -424,7 +537,9 @@ def evolve(
 
     The one sample of ``_steps`` at ``t``, the loop ``trajectory`` runs above
     the dense cap: restarted spaces of at most ``KRYLOV_DIM`` vectors whose
-    leak bounds sum to at most ``tol``. Unitarity is inherited, not enforced.
+    leak bounds sum to at most ``tol``, on the state's orbits when the
+    operator has lattice maps that fix it. Unitarity is inherited, not
+    enforced.
     """
     if state.basis != op.basis:
         raise ValueError("state and operator use different bases")

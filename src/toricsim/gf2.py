@@ -12,6 +12,7 @@ from collections.abc import Iterable, Sequence
 __all__ = [
     "mask",
     "pack",
+    "permute",
     "row_reduce",
     "rank",
     "reduce_mod",
@@ -30,6 +31,16 @@ def mask(components: Iterable[int]) -> int:
 def pack(v: int, components: Iterable[int]) -> int:
     """The bits of v at the given components, packed in order, least significant first."""
     return sum(((v >> c) & 1) << i for i, c in enumerate(components))
+
+
+def permute(v: int, targets) -> int:
+    """The bits of v moved by a permutation: bit i goes to bit ``targets[i]``."""
+    out = 0
+    while v:
+        low = v & -v  # one loop per set bit: a Pauli term's masks hold a few
+        out |= 1 << targets[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 def row_reduce(vectors: Iterable[int]) -> list[int]:

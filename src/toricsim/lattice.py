@@ -13,6 +13,11 @@ the torus once each and are the supports of the sector-changing X loops: a
 column of vertical bonds for direction 1 and a row of horizontal bonds for
 direction 2 (these are cycles of the dual lattice, crossing plaquettes
 evenly, which is what a pure-X loop needs to commute with the Hamiltonian).
+
+The lattice maps of the torus permute the spins and send stars to stars
+and plaquettes to plaquettes. ``symmetry_generators`` gives the unit
+translations, the two reflections and, on a square torus, the transpose,
+which generate 8 * L1 * L2 maps when L1 == L2 and 4 * L1 * L2 otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "build_lattice",
     "build_partition",
     "partition_presets",
+    "symmetry_generators",
 ]
 
 
@@ -86,6 +92,33 @@ def build_lattice(L1: int, L2: int) -> LatticeGeometry:
         vertical_spins=tuple(range(1, 2 * n_sites, 2)),
         loop1_support=tuple(v(x, 0) for x in range(L1)),
         loop2_support=tuple(h(0, y) for y in range(L2)),
+    )
+
+
+def symmetry_generators(geometry: LatticeGeometry) -> tuple[tuple[int, ...], ...]:
+    """Spin permutations that generate the lattice maps of the torus.
+
+    Each is a tuple ``perm`` that sends spin s to spin ``perm[s]``: the unit
+    translations along directions 1 and 2, the reflections x -> -x and
+    y -> -y, and the transpose (x, y) -> (y, x) when L1 == L2, which swaps
+    the horizontal and vertical bonds. A reflection x -> -x sends the
+    horizontal bond from (x, y) to (x+1, y) to the one from (-x-1, y), and
+    the vertical bond at (x, y) to the one at (-x, y); y -> -y likewise.
+    """
+    L1, L2 = geometry.L1, geometry.L2
+    maps = [
+        lambda x, y, k: (x + 1, y, k),
+        lambda x, y, k: (x, y + 1, k),
+        lambda x, y, k: (k - 1 - x, y, k),
+        lambda x, y, k: (x, -k - y, k),
+    ]
+    if L1 == L2:
+        maps.append(lambda x, y, k: (y, x, 1 - k))
+    # Spin s is the bond of kind k = s % 2 (0 horizontal) leaving site s // 2.
+    bonds = [(s // 2 % L1, s // 2 // L1, s % 2) for s in range(geometry.n_spins)]
+    return tuple(
+        tuple(2 * (y % L2 * L1 + x % L1) + k for x, y, k in (f(*b) for b in bonds))
+        for f in maps
     )
 
 

@@ -353,7 +353,10 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     placed at their positions in that space. The reference knows nothing of
     the block, so the two cross bases, and within the dense cap methods: the
     block state's closed Krylov space against leak-bounded spaces on the
-    whole space. It runs at every size the config admits.
+    whole space. Above the cap the block's spaces run on the state's
+    lattice orbits; the reference's operator is built without lattice maps,
+    so its spaces run on the whole space. It runs at every size the config
+    admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one

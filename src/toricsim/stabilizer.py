@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf2 import mask, pack, rank, reduce_mod, row_reduce, span
+from .gf2 import mask, pack, permute, rank, reduce_mod, row_reduce, span
 from .lattice import LatticeGeometry
 from .pauli import PauliOperator, pauli_x, pauli_z
 
@@ -172,6 +172,15 @@ class Basis:
             return None, signs
         # A diagonal string keeps every state in place.
         return (self._arange ^ shift if shift else self._arange), signs
+
+    def permutation_positions(self, perm: tuple[int, ...]) -> np.ndarray | None:
+        """Where a spin permutation sends each basis state: the state at
+        position k, spin s of its configuration moved to spin ``perm[s]``,
+        is the state at ``positions[k]``. The map is GF(2)-linear, so it is
+        one doubling pass over the generators' images. None when the
+        permutation moves the span off itself."""
+        images = [self.position(permute(g, perm)) for g in reversed(self.generators)]
+        return None if None in images else _linear_map(images)
 
     def region_rows(self, spins: tuple[int, ...]) -> np.ndarray:
         """Each basis state's configuration of ``spins``, in basis order,

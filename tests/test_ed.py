@@ -984,11 +984,13 @@ def test_spectral_samples_hold_the_budget_to_the_sweep_horizon(geo33, h, monkeyp
 
 @pytest.fixture(scope="module")
 def krylov_quench_33():
-    """The 3x3 ``split_HV`` quench: its 32,768-state block and the 2^18 full space."""
+    """The 3x3 ``split_HV`` quench: its 32,768-state block, and the 2^18 full
+    space with no lattice maps, so that it propagates on every state."""
     geo = lattice.build_lattice(3, 3)
     spec = ed.HamiltonianSpec(geo, h=0.3, kappa=1.0, field_mode="split_HV")
     block = ed.build_hamiltonian(spec, ed.build_block(spec))
-    return block, stabilizer.ground_state(geo, (0, 0), block.basis), ed.build_hamiltonian(spec)
+    whole = ed.HamiltonianOperator(spec.term_list(), stabilizer.full_basis(geo.n_spins))
+    return block, stabilizer.ground_state(geo, (0, 0), block.basis), whole
 
 
 def test_krylov_run_gathers_only_the_touched_block(krylov_quench_33, monkeypatch):
@@ -1108,13 +1110,15 @@ def test_krylov_fallback_holds_the_tol_at_strong_field(geo22, monkeypatch, times
     # t = 50 all of it. Each restart starts at or past the last sample
     # served before it and before the next one.
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo22, h=9.0, kappa=1.0, field_mode="split_HV"))
+    states = (stabilizer.ground_state(geo22), seeded_complex_state(op, 5))
+    oracles = [dense_samples(psi, op, times) for psi in states]
     monkeypatch.setattr(ed, "FULL_SPECTRUM_CAP", 1)
     assert ed.propagation(op.dimension) == "krylov"
     spaces = recording_steps(monkeypatch)
     recorded = []
-    for psi in (stabilizer.ground_state(geo22), seeded_complex_state(op, 5)):
+    for psi, oracle in zip(states, oracles):
         spaces.clear()
-        for want, sample in zip(dense_samples(psi, op, times), ed.trajectory(psi, op, times)):
+        for want, sample in zip(oracle, ed.trajectory(psi, op, times)):
             assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
         recorded.append(list(spaces))
     ((v, _, served, _),), spaces = recorded
@@ -1165,21 +1169,146 @@ def test_krylov_reach_bounds_the_leak_over_the_whole_interval(krylov_quench_33_h
 
 def test_krylov_window_starting_late_is_served_by_the_block_space(krylov_quench_33_h1, monkeypatch):
     # A sweep's window (50, 55) on the 32,768-state block, above the dense
-    # cap, with no earlier sample: the quench state's one real space of
-    # KRYLOV_DIM vectors holds all of it, and every sample is within 1e-10
-    # of the 60-vector space's, whose leak rate bounds its own error at
-    # t = 55 by 1e-12.
+    # cap, with no earlier sample: without lattice maps the quench state's
+    # one real space of KRYLOV_DIM vectors holds all of it, and every sample
+    # is within 1e-10 of the 60-vector space's, whose leak rate bounds its
+    # own error at t = 55 by 1e-12. On the block's orbits the first space
+    # of KRYLOV_DIM vectors holds none of the window, and restarted spaces
+    # serve it within the same bound.
     op, psi0, spaces, Q = krylov_quench_33_h1
     theta, S, beta = spaces[-1]
     assert 55.0 * beta * np.abs(S[-1] * S[0]).sum() < 1e-12
     times = [50.0 + 0.5 * k for k in range(11)]
+    wants = [(S @ (S[0] * np.exp(-1j * theta * t))) @ Q for t in times]
     steps = recording_steps(monkeypatch)
-    for t, sample in zip(times, ed.trajectory(psi0, op, times)):
-        want = (S @ (S[0] * np.exp(-1j * theta * t))) @ Q
+    free = ed.HamiltonianOperator(op.terms, op.basis)
+    for want, sample in zip(wants, ed.trajectory(psi0, free, times)):
         assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
     ((v, vectors, served, held),) = steps
     assert v.dtype == np.float64 and vectors == ed.KRYLOV_DIM
     assert (served, held) == (len(times), 55.0)
+    steps.clear()
+    for want, sample in zip(wants, ed.trajectory(psi0, op, times)):
+        assert np.max(np.abs(sample.amplitudes - want)) < 1e-10
+    (v, vectors, served, _), *restarts = steps
+    assert v.size == 1110 and vectors == ed.KRYLOV_DIM and served == 0 and restarts
+
+
+@pytest.mark.parametrize("h", [0.3, 9.0])
+def test_orbit_route_matches_the_block_without_lattice_maps(krylov_quench_33, monkeypatch, h):
+    # The 32,768-state split_HV block out to t = 1: the quench state runs on
+    # its 1,110 orbits, in real arithmetic, and each sample is within 1e-10
+    # of the same terms given no lattice maps, which run on the whole block.
+    op, psi0, _ = krylov_quench_33
+    if h != 0.3:
+        spec = ed.HamiltonianSpec(lattice.build_lattice(3, 3), h=h, kappa=1.0,
+                                  field_mode="split_HV")
+        op = ed.build_hamiltonian(spec, ed.build_block(spec))
+    free = ed.HamiltonianOperator(op.terms, op.basis)
+    times = [0.0, 0.1, 0.2, 0.5, 1.0]
+    spaces = recording_steps(monkeypatch)
+    samples = list(ed.trajectory(psi0, op, times))
+    assert spaces[0][0].dtype == np.float64 and spaces[0][0].size == 1110
+    spaces.clear()
+    for sample, want in zip(samples, ed.trajectory(psi0, free, times)):
+        assert np.max(np.abs(sample.amplitudes - want.amplitudes)) < 1e-10
+    assert spaces[0][0].size == 32768
+
+
+def orbit_isometry(maps, dim):
+    """Columns of unit orbit vectors, the orbits found as the connected
+    components of the graph with an edge from k to p[k] for every map p,
+    ordered by their least position."""
+    label = np.full(dim, -1)
+    for k in range(dim):
+        if label[k] < 0:
+            label[k], stack = k, [k]
+            while stack:
+                j = stack.pop()
+                for p in maps:
+                    if label[p[j]] < 0:
+                        label[p[j]] = k
+                        stack.append(p[j])
+    reps = np.unique(label)
+    V = (label[:, None] == reps[None, :]).astype(float)
+    return V / np.sqrt(V.sum(axis=0))
+
+
+def test_orbit_operator_is_the_dense_operator_on_the_orbit_basis(geo22):
+    # On the 2x2 full space, with a Y·Y term on each site's two bonds, which
+    # flips with signs: the translations and the transpose keep the terms,
+    # the reflections do not. The orbit operator's matrix is V^T H V for
+    # the isometry V of unit orbit vectors, and real symmetric.
+    n = geo22.n_spins
+    terms = [(0.7, pauli_multiply(pauli.single(n, "Y", 2 * s), pauli.single(n, "Y", 2 * s + 1)))
+             for s in range(4)]
+    terms += [(-1.0, pauli.pauli_x(n, sup)) for sup in geo22.star_supports]
+    terms += [(-0.3, pauli.single(n, "Z", j)) for j in range(n)]
+    op = ed.HamiltonianOperator(terms, stabilizer.full_basis(n),
+                                lattice.symmetry_generators(geo22))
+    maps = [stabilizer.full_basis(n).permutation_positions(p)
+            for p in lattice.symmetry_generators(geo22)]
+    assert [any(np.array_equal(p, m) for m in op.symmetry_maps) for p in maps] == [
+        True, True, False, False, True]
+    orbits = ed._OrbitOperator(op, op.symmetry_maps)
+    V = orbit_isometry(op.symmetry_maps, op.dimension)
+    reduced = np.array([orbits.matvec(col) for col in np.eye(orbits.dimension)]).T
+    assert orbits.dimension == V.shape[1] < op.dimension
+    assert np.max(np.abs(reduced - V.T @ op.dense() @ V)) < 1e-12
+    assert np.max(np.abs(reduced - reduced.T)) < 1e-12
+    y = np.random.default_rng(3).standard_normal(orbits.dimension) * (1 + 1j)
+    assert np.max(np.abs(orbits.expand(y) - V @ y)) < 1e-15
+    assert np.max(np.abs(orbits.restrict(V @ y) - y)) < 1e-14
+
+
+def kept_generators(op, v, geometry):
+    """Which of the lattice's ``symmetry_generators`` the orbit route keeps
+    for ``v``, by index, or None when it runs on the whole basis."""
+    orbits = ed._orbit_space(op, v)
+    if orbits is None:
+        return None
+    maps = [op.basis.permutation_positions(p) for p in lattice.symmetry_generators(geometry)]
+    return [i for i, p in enumerate(maps) if any(np.array_equal(p, m) for m in orbits.maps)]
+
+
+def test_lattice_maps_are_kept_by_the_terms_the_basis_and_the_state(geo33, monkeypatch):
+    # Under uniform_z the operator keeps all five generators; split_HV's
+    # horizontal and vertical fields break the transpose. The (0,0) state
+    # is fixed by every map its operator keeps; the (1,0) state's X loop
+    # runs along direction 1, so the transpose sends it to another sector
+    # and only the translations and reflections are kept. A seeded random
+    # state keeps no map and runs on the whole block.
+    sector = ed.build_hamiltonian(ed.HamiltonianSpec(geo33, h=0.5), ed.build_sector(geo33))
+    spec = ed.HamiltonianSpec(geo33, h=0.5, kappa=1.0, field_mode="split_HV")
+    block = ed.build_hamiltonian(spec, ed.build_block(spec))
+    assert len(sector.symmetry_maps) == 5 and len(block.symmetry_maps) == 4
+    for op in (sector, block):
+        assert not ed.HamiltonianOperator(op.terms, op.basis).symmetry_maps
+        for p in op.symmetry_maps:
+            assert np.array_equal(np.sort(p), np.arange(op.dimension))
+    psi = {s: stabilizer.ground_state(geo33, s, sector.basis).amplitudes for s in [(0, 0), (1, 0)]}
+    assert kept_generators(sector, psi[(0, 0)], geo33) == [0, 1, 2, 3, 4]
+    assert kept_generators(sector, psi[(1, 0)], geo33) == [0, 1, 2, 3]
+    quench_state = stabilizer.ground_state(geo33, (0, 0), block.basis).amplitudes
+    assert kept_generators(block, quench_state, geo33) == [0, 1, 2, 3]
+    psi = seeded_complex_state(block, 7)
+    assert kept_generators(block, psi.amplitudes, geo33) is None
+    spaces = recording_steps(monkeypatch)
+    list(ed.trajectory(psi, block, [0.0, 0.1]))
+    assert [v.size for v, *_ in spaces] == [32768]
+
+
+def test_dense_refuses_a_basis_above_the_cap_before_it_allocates(krylov_quench_33):
+    # The 32,768-state block's dense matrix would be 8 GiB.
+    op = krylov_quench_33[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="basis of 32768 states exceeds the dense cap"):
+            op.dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def matvec_case(name):

@@ -114,3 +114,18 @@ def test_empty_inputs():
     assert gf2.reduce_mod(gf2.row_reduce([]), 0) == 0
     assert gf2.reduce_mod(gf2.row_reduce([]), 1) != 0
     assert kernel_basis([]) == []
+
+
+def test_permute_moves_each_bit_to_its_target():
+    # Against a loop over every bit; permuting by the inverse undoes it.
+    rng = random.Random(17)
+    for n in (1, 5, 18, 32):
+        targets = list(range(n))
+        rng.shuffle(targets)
+        inverse = [targets.index(i) for i in range(n)]
+        for _ in range(50):
+            v = rng.getrandbits(n)
+            want = sum(1 << targets[i] for i in range(n) if v >> i & 1)
+            assert gf2.permute(v, targets) == want
+            assert gf2.permute(want, inverse) == v
+    assert gf2.permute(0, []) == 0

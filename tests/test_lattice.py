@@ -238,3 +238,34 @@ def test_build_partition_errors(geo22, geo33):
         lattice.build_partition(geo22, "levinwen-ring")
     with pytest.raises(ValueError):
         lattice.build_partition(lattice.build_lattice(5, 5), "levinwen-small")
+
+
+def generated_group(perms):
+    """Every composition of the permutations, found by breadth-first search
+    from the identity."""
+    identity = tuple(range(len(perms[0])))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        frontier = [g for g in {tuple(p[i] for i in a) for a in frontier for p in perms}
+                    if g not in group]
+        group.update(frontier)
+    return group
+
+
+@pytest.mark.parametrize("l1,l2,order", [
+    (2, 2, 32), (2, 3, 24), (3, 3, 72), (3, 4, 48), (4, 4, 128),
+])
+def test_symmetry_generators_are_lattice_maps(l1, l2, order):
+    # Bijections of the spins that send the stars onto the stars and the
+    # plaquettes onto the plaquettes, generating 4 * L1 * L2 maps, and twice
+    # as many with the transpose of a square torus.
+    geo = lattice.build_lattice(l1, l2)
+    gens = lattice.symmetry_generators(geo)
+    assert len(gens) == (5 if l1 == l2 else 4)
+    stars = {frozenset(s) for s in geo.star_supports}
+    plaquettes = {frozenset(p) for p in geo.plaquette_supports}
+    for perm in gens:
+        assert sorted(perm) == list(range(geo.n_spins))
+        assert {frozenset(perm[s] for s in star) for star in stars} == stars
+        assert {frozenset(perm[s] for s in p) for p in plaquettes} == plaquettes
+    assert len(generated_group(gens)) == order

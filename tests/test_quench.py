@@ -292,9 +292,9 @@ def recording_operators(monkeypatch):
     dims = []
     init = ed.HamiltonianOperator.__init__
 
-    def recording(self, terms, basis):
+    def recording(self, terms, basis, symmetries=()):
         dims.append(basis.dimension)
-        init(self, terms, basis)
+        init(self, terms, basis, symmetries)
 
     monkeypatch.setattr(ed.HamiltonianOperator, "__init__", recording)
     return dims
@@ -357,7 +357,8 @@ def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
 def test_krylov_quench_reads_every_sample_from_one_space(monkeypatch, h):
     # The benchmark's 3x3 full-space split_HV quench (h within 5 % of 0.3,
     # to t = 0.2): its 32,768-state block is above the dense cap, and one
-    # Krylov space of at most 16 vectors serves every sample, with no
+    # Krylov space of at most 16 vectors, on the block's 1,110 orbits under
+    # the lattice maps that fix the state, serves every sample, with no
     # restart.
     routes = recording_spectral_routes(monkeypatch)
     report = quench.run_quench(quench.QuenchConfig(
@@ -366,8 +367,8 @@ def test_krylov_quench_reads_every_sample_from_one_space(monkeypatch, h):
     assert report.metadata["block_dimension"] == 32768
     assert report.metadata["propagation"] == "krylov"
     assert len(report.times) == 3
-    ((route, block, vectors),) = routes
-    assert route == "krylov" and block == 32768 and vectors <= 16
+    ((route, orbits, vectors),) = routes
+    assert route == "krylov" and orbits == 1110 and vectors <= 16
 
 
 def test_verify_flags_defective_partition(monkeypatch):
@@ -472,8 +473,8 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     # A full-space config checks its block's propagation against Krylov
     # spaces on the whole 2^N basis, above the dense cap too. Under split_HV
     # the block is above the cap as well; the t = 1 sample still comes from
-    # the state's one Krylov space, with no restart, and so does the whole
-    # basis's.
+    # the state's one Krylov space, on the block's 1,110 orbits, with no
+    # restart, and so does the whole basis's, which has no lattice maps.
     routes = recording_spectral_routes(monkeypatch)
     dims = recording_operators(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=l1, L2=l2, h=0.1, **field))
@@ -482,7 +483,8 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [block, 1 << 2 * l1 * l2]
     kinds = ["krylov" if field else "closed", "krylov"]
-    assert [route[:2] for route in routes] == [[kind, dim] for kind, dim in zip(kinds, dims)]
+    spaces = [1110 if field else block, dims[1]]
+    assert [route[:2] for route in routes] == [list(pair) for pair in zip(kinds, spaces)]
 
 
 @pytest.mark.parametrize("config", [
@@ -493,9 +495,9 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
 def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
     # Eigenphases of the state's Krylov space off by 1e-7 to 2e-7 are seen
     # by the propagation check and by no other: the closed space within the
-    # dense cap, and under split_HV the 32,768-state block's open space.
-    # Only the first operator's spaces, the block's, are perturbed; the
-    # whole-space reference runs on a second one.
+    # dense cap, and under split_HV the open space on the 1,110 orbits of
+    # the 32,768-state block. Only the first operator's spaces, the
+    # block's, are perturbed; the whole-space reference runs on a second one.
     lanczos = ed._lanczos
     spaces = []  # the operator of each perturbed space
 
@@ -514,8 +516,11 @@ def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1 and len(lines) == 8
     assert fails[0].startswith("FAIL block vs whole-basis propagation")
-    assert [ed.propagation(op.dimension) for op in spaces] == [
-        "krylov" if config.field_mode == "split_HV" else "spectrum"]
+    (op,) = spaces
+    if config.field_mode == "split_HV":
+        assert isinstance(op, ed._OrbitOperator) and op.dimension == 1110
+    else:
+        assert ed.propagation(op.dimension) == "spectrum"
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
