@@ -9,24 +9,21 @@ space, the plaquette sector (``build_sector``) or a run's block
 (``build_block``), the states the Hamiltonian's flips reach from all-up: 256
 on 3x3, and 32,768 under the ``split_HV`` field. A term's flip lies in the
 span, and its gather XORs every position with one constant, or it is refused.
-``trajectory`` reads its samples from the eigenphases of the initial
-state's own Krylov space, the tridiagonal matrix of one Lanczos loop.
-Within the dense cap the space is built until it is closed to round-off
-(16 to 18 vectors for the 3x3 quench state on its 256-state block); a
-state whose space is still open after ``CLOSURE_LIMIT`` vectors takes one
-eigendecomposition of the whole operator instead. Above the cap the
-samples come from the propagator ``evolve`` runs on any basis, restarted
-spaces of the same Lanczos loop: a space grows until a bound on the
-weight leaking out of it by each remaining time is within its share of
-the tol, or to ``KRYLOV_DIM`` vectors, serves the times it holds and
-restarts from the farthest it holds. A state fixed by some of the
-operator's lattice maps runs those spaces on its orbits, one unit vector
-per orbit (``_OrbitOperator``): the 3x3 ``split_HV`` block of 32,768
-states has 1,110, and its quench to t = 0.2 at h = 0.3 takes one space
-of 13 vectors on them. Every
-operator is real symmetric, so a real state's space and the eigenvectors
-are real: a sample is then one real product with the float view of its
-complex coefficients, a quarter of the complex product's arithmetic.
+``trajectory`` propagates a state fixed by some of the operator's
+lattice maps on its orbits, one unit vector per orbit (``_OrbitOperator``),
+and any other state on the whole basis. Within the dense cap it takes one
+``eigh`` there and reads every sample from the eigenphases: 13 orbits for
+the 3x3 quench state on its 256-state block. Above the cap the samples
+come from the propagator ``evolve`` runs on any basis, restarted spaces
+of one Lanczos loop: a space grows until a bound on the weight leaking
+out of it by each remaining time is within its share of the tol, or to
+``KRYLOV_DIM`` vectors, serves the times it holds and restarts from the
+farthest it holds. The 3x3 ``split_HV`` block of 32,768 states has 1,110
+orbits, and its quench to t = 0.2 at h = 0.3 takes one space of 13
+vectors on them. Every operator is real symmetric, so a real state's
+space and the eigenvectors are real: a sample is then one real product
+with the float view of its complex coefficients, a quarter of the complex
+product's arithmetic.
 """
 
 from __future__ import annotations
@@ -56,9 +53,6 @@ __all__ = [
 FULL_SPECTRUM_CAP = 4096
 # Largest Krylov space one propagation restart builds.
 KRYLOV_DIM = 30
-# Largest Krylov space of a spectral trajectory's state; one still open
-# there falls back to the operator's eigensystem.
-CLOSURE_LIMIT = 64
 
 _FIELD_MODES = ("uniform_z", "split_HV")
 
@@ -70,6 +64,8 @@ class HamiltonianSpec:
     The base model is -U sum_p B_p - J sum_s A_s. ``uniform_z`` adds
     -h sigma^z on every spin; ``split_HV`` adds -h sigma^z on the
     horizontal sublattice and -kappa*h sigma^x on the vertical one.
+    A spec whose weight sum W = sum |c| has a non-finite W*W is refused:
+    ||H v||^2 <= W^2 for a unit v, so no norm a propagation takes overflows.
     """
 
     geometry: LatticeGeometry
@@ -87,8 +83,9 @@ class HamiltonianSpec:
         for name in ("U", "J", "h", "kappa"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"coupling {name} is not finite")
-        if not np.isfinite(self.kappa * self.h):
-            raise ValueError(f"term weight kappa*h = {self.kappa * self.h!r} is not finite")
+        weight = sum(abs(c) for c, _ in self.term_list())
+        if not np.isfinite(weight * weight):
+            raise ValueError(f"the square of the weight sum {weight!r} is not finite")
 
     def term_list(self) -> tuple[tuple[float, PauliOperator], ...]:
         """Deterministic weighted Pauli terms: plaquettes, stars, fields."""
@@ -359,25 +356,6 @@ def _reach(
     return len(times), held
 
 
-def _krylov_space(
-    op: HamiltonianOperator, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(Q, theta, S)`` of the Krylov space of the unit vector ``v``, closed
-    to round-off: its vectors as rows and ``eigh`` of its tridiagonal matrix.
-
-    The weight leaking out of it is at most t * beta_m * sum_j |S_mj S_1j|
-    after a time t, so a rate within ``8 * eps * max|theta|`` keeps it below
-    an eigenphase's own round-off, t * |E| * eps, at any t; a space of the
-    whole basis is closed too. None if it is still open after
-    ``CLOSURE_LIMIT`` vectors.
-    """
-    for Q, theta, S, b in _lanczos(op.matvec, v, min(op.dimension, CLOSURE_LIMIT)):
-        if (b * np.abs(S[-1] * S[0]).sum() <= 8 * np.finfo(float).eps * np.abs(theta).max()
-                or len(theta) == op.dimension):
-            return Q, theta, S
-    return None
-
-
 class _OrbitOperator:
     """An operator on the orbits of its basis under position maps that
     commute with it, for the states those maps fix: one unit vector per
@@ -390,7 +368,7 @@ class _OrbitOperator:
     rep_a the label, and is kept as a table of columns and values, one per
     off-diagonal term and one for the diagonal in each row, so ``matvec`` is
     one gather, one product and one row sum, for real and complex vectors
-    alike.
+    alike, and ``eigensystem`` scatters the table into a dense matrix.
     """
 
     def __init__(self, op: HamiltonianOperator, maps: Sequence[np.ndarray]):
@@ -420,6 +398,13 @@ class _OrbitOperator:
 
     def matvec(self, y: np.ndarray) -> np.ndarray:
         return (self._vals * y[self._cols]).sum(axis=1)
+
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, vecs)`` of the reduced operator, from one real ``eigh`` of
+        its table scattered into an n_orb x n_orb matrix."""
+        n = self.dimension
+        flat = (n * np.arange(n)[:, None] + self._cols).ravel()
+        return np.linalg.eigh(np.bincount(flat, self._vals.ravel(), n * n).reshape(n, n))
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
         """The orbit amplitudes of a block vector the maps fix."""
@@ -492,16 +477,15 @@ def trajectory(
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Within the dense cap each sample is read from the state's own Krylov
-    space, closed to round-off (``_krylov_space``, Park & Light, J. Chem.
-    Phys. 85, 5870 (1986)), as ``|psi| Q^T S (S_1 * exp(-i theta t))``. A
-    real state builds it in real arithmetic, and a sample is then one real
-    product with the ``(dim, 2)`` float view of its complex coefficients. A
-    sample is within about 2 * eps * t * max|E| of the exact one. A state
-    whose space is still open after ``CLOSURE_LIMIT`` vectors is projected
-    once on the real eigenbasis of one ``eigensystem`` call instead, and
-    each sample is rebuilt from the eigenphases by real products. Either way
-    a sample's bits do not depend on the other times of the call.
+    Within the dense cap the state is projected once on the real
+    eigenbasis of one ``eigh``: of the operator on its orbits under the
+    operator's lattice maps that fix it (``_orbit_space``), or, when no map
+    fixes it, of the whole operator (``eigensystem``). Each sample is then
+    ``expand(vecs @ (coef * exp(-i w t)))``, one real product with the
+    ``(dim, 2)`` float view of its complex coefficients and, on the orbits,
+    one gather, so its bits do not depend on the other times of the call.
+    A sample is within about 2 * eps * t * max|E| of the exact one. The 3x3
+    quench state takes one 13 x 13 ``eigh`` on its 256-state block.
 
     Above the cap the samples come from ``_steps`` at tol 1e-10, the loop
     ``evolve`` runs: the state's Krylov space serves the times it holds and
@@ -515,19 +499,16 @@ def trajectory(
     if propagation(op.dimension) == "krylov":
         yield from _steps(state, op, times, 1e-10)
         return
-    norm = float(np.linalg.norm(state.amplitudes))
-    v = state.amplitudes / norm
-    space = _krylov_space(op, v if v.imag.any() else v.real)
-    if space is None:
+    orbits = _orbit_space(op, state.amplitudes)
+    if orbits is None:
         w, vecs = op.eigensystem()
         coef = _product(vecs.T, state.amplitudes)
-        for t in times:
-            yield StateVector(_product(vecs, coef * np.exp(-1j * w * t)), state.basis)
-        return
-    Q, theta, S = space
-    coef = norm * S[0]
+    else:
+        w, vecs = orbits.eigensystem()
+        coef = _product(vecs.T, orbits.restrict(state.amplitudes))
     for t in times:
-        yield StateVector(_product(Q.T, S @ (coef * np.exp(-1j * theta * t))), state.basis)
+        y = _product(vecs, coef * np.exp(-1j * w * t))
+        yield StateVector(y if orbits is None else orbits.expand(y), state.basis)
 
 
 def evolve(

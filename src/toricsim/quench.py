@@ -241,7 +241,7 @@ def long_time_average(
     horizon is reported alongside; it is built from the exact eigenphases,
     so no extra propagation error enters. Those samples all lie past the
     window, so one ``ed.trajectory`` call per beta serves both averages,
-    and the block takes one ``eigh``.
+    and the state's orbits of the block take one ``eigh``.
     """
     t0, t1 = float(window[0]), float(window[1])
     if not 0 <= t0 < t1:
@@ -352,11 +352,11 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     ``sector_restrict``, else all 2^N states. The block's amplitudes are
     placed at their positions in that space. The reference knows nothing of
     the block, so the two cross bases, and within the dense cap methods: the
-    block state's closed Krylov space against leak-bounded spaces on the
-    whole space. Above the cap the block's spaces run on the state's
-    lattice orbits; the reference's operator is built without lattice maps,
-    so its spaces run on the whole space. It runs at every size the config
-    admits.
+    eigenphases of the block state's lattice orbits against leak-bounded
+    Krylov spaces on the whole space. Above the cap the block's spaces run
+    on the state's orbits; the reference's operator is built without
+    lattice maps, so its spaces run on the whole space. It runs at every
+    size the config admits.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one

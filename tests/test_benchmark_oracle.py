@@ -52,8 +52,9 @@ def test_krylov_workload_quench_passes_the_reference_check(tmp_path, monkeypatch
 
 @pytest.mark.parametrize("name", ["quench-sector-3x3", "sweep-sector-3x3"])
 def test_spectral_workload_passes_the_reference_check(name, tmp_path, monkeypatch, capsys):
-    # Both run the block eigensystem path: the quench through one trajectory,
-    # the sweep through one trajectory per beta over window and long horizon.
+    # Both run the spectral path, one eigh on the quench state's orbits of
+    # its block: the quench through one trajectory, the sweep through one
+    # trajectory per beta over window and long horizon.
     run = benchmark_run(monkeypatch)
     w = run.draw(name, 7)
     assert w.sector and w.command == name.split("-")[0]

@@ -189,9 +189,14 @@ def test_physics_failure_exits_one(monkeypatch, tmp_path, capsys):
     ["--l1", "3", "--l2", "3", "--full-space", "--field-mode", "split_HV",
      "--h", "1e200", "--kappa", "1e200"],
     ["--l1", "2", "--l2", "2", "--h", "1e308"],
-], ids=["field-weight", "diagonal"])
+    ["--l1", "3", "--l2", "3", "--full-space", "--field-mode", "split_HV",
+     "--kappa", "1", "--h", "1e160"],
+    ["--l1", "2", "--l2", "2", "--h", "1e300"],
+], ids=["field-weight", "diagonal", "split_HV-norm", "uniform_z-norm"])
 def test_non_finite_hamiltonian_is_config_error(argv, tmp_path, capsys):
-    # kappa*h overflows to inf; eight -h sigma^z terms sum to -inf on all-up
+    # kappa*h overflows to inf; eight -h sigma^z terms sum to -inf on all-up;
+    # the last two have finite weights, but their sum W, whose square bounds
+    # |H v|^2 for a unit v, has W*W = inf, so a Lanczos norm could overflow
     out = tmp_path / "x.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy may print no overflow warning

@@ -829,11 +829,34 @@ def test_block_trajectory_matches_complex_oracle_to_t100(name):
             assert np.max(np.abs(embed(state, whole.basis) - want)) < 1e-10
 
 
+def recording_eigh(monkeypatch):
+    """Record the size of every ``np.linalg.eigh`` call; any ``ed._lanczos``
+    vector fails the test."""
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def counted(mat):
+        sizes.append(mat.shape[0])
+        return eigh(mat)
+
+    def no_lanczos(matvec, v, size):
+        raise AssertionError("a Lanczos vector was built")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(ed, "_lanczos", no_lanczos)
+    return sizes
+
+
+# The quench state's orbits under the lattice maps that keep its operator
+ORBIT_COUNTS = {"2x2-full-uniform_z": 4, "2x2-full-split_HV": 21, "2x3-sector": 8,
+                "3x3-sector": 13, "2x3-full-uniform_z": 8, "3x3-full-uniform_z": 13}
+
+
 @pytest.mark.parametrize("name", [*BLOCK_CASES, "2x3-full-uniform_z", "3x3-full-uniform_z"])
 def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
-    # The quench state's own block is its closed Krylov space: the
-    # trajectory diagonalizes the tridiagonal matrix of each Lanczos vector,
-    # the last one that block's, and never the operator's dense matrix.
+    # The quench state is fixed by its operator's lattice maps, so the
+    # trajectory takes one eigh of the operator on the state's orbits and
+    # builds no Lanczos vector; the block's own eigensystem is never taken.
     if name in ("2x3-full-uniform_z", "3x3-full-uniform_z"):
         # the largest quench of criterion 7, and the star span of the 2^18 full space
         l1, size = (2, 32) if name.startswith("2x3") else (3, 256)
@@ -843,21 +866,35 @@ def test_quench_state_triggers_one_block_eigh(name, monkeypatch):
     else:
         _, op, psi0 = block_case(name)
         size = BLOCK_CASES[name][-1]
-    eigh = np.linalg.eigh
-    sizes = []
-
-    def counted(mat):
-        sizes.append(mat.shape[0])
-        return eigh(mat)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    sizes = recording_eigh(monkeypatch)
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", None)
     *_, state = ed.trajectory(psi0, op, [0.0, 0.5, 1.0, 3.0])
-    closed = sizes[-1]
-    assert sizes == list(range(1, closed + 1))
-    assert closed <= ed.CLOSURE_LIMIT and closed < size
+    assert sizes == [ORBIT_COUNTS[name]]
     assert op.dimension == state.amplitudes.size == size
     assert ed.propagation(op.dimension) == "spectrum"
+
+
+# Largest Krylov space of the closure oracle; one still open there is None.
+CLOSURE_LIMIT = 64
+
+
+def closed_space(op, v):
+    """``(Q, theta, S)`` of the Krylov space of the unit vector ``v``, closed
+    to round-off: its vectors as rows and ``eigh`` of its tridiagonal matrix
+    (Park & Light, J. Chem. Phys. 85, 5870 (1986)). The oracle of the
+    spectral samples.
+
+    The weight leaking out of it is at most t * beta_m * sum_j |S_mj S_1j|
+    after a time t, so a rate within ``8 * eps * max|theta|`` keeps it below
+    an eigenphase's own round-off, t * |E| * eps, at any t; a space of the
+    whole basis is closed too. None if it is still open after
+    ``CLOSURE_LIMIT`` vectors.
+    """
+    for Q, theta, S, b in ed._lanczos(op.matvec, v, min(op.dimension, CLOSURE_LIMIT)):
+        if (b * np.abs(S[-1] * S[0]).sum() <= 8 * np.finfo(float).eps * np.abs(theta).max()
+                or len(theta) == op.dimension):
+            return Q, theta, S
+    return None
 
 
 # Every field of the closure test; on 3x3 the split_HV blocks with
@@ -876,9 +913,10 @@ CLOSURE_CASES = [
 ]
 # A spectral sample at time t is within SAMPLE_BUDGET * eps * t * max|E| of
 # the exact one: an eigenphase theta*t carries about t*|E|*eps of round-off
-# in either route. Up to 0.5 of it seen on the 3x3 block out to t = 2,121,
-# and up to 1.1 on 2x2 at t = 100, where the t-independent round-off of the
-# complex oracle's own eigenvectors weighs more.
+# in either route. Up to 0.16 of it seen on the 3x3 quench state's orbits
+# and 0.23 on its whole block out to t = 2,121, and up to 1.1 on 2x2 at
+# t = 100, where the t-independent round-off of the complex oracle's own
+# eigenvectors weighs more.
 SAMPLE_BUDGET = 2.0
 
 
@@ -890,17 +928,19 @@ def sample_budget(w, t):
 def test_quench_state_space_closes_within_the_limit(l1, l2, field, monkeypatch):
     # From the weakest to the strongest shipped field the (0,0) state's
     # Krylov space closes within CLOSURE_LIMIT vectors (16 to 18 on the 3x3
-    # block, up to 33 on the 512-state 2x3 split_HV block): its eigenphases
-    # are the operator's, and the trajectory takes no eigensystem.
+    # block, up to 33 on the 512-state 2x3 split_HV block). Its samples, the
+    # closure oracle's, agree with the trajectory's on the state's orbits
+    # and with the block's complex dense spectrum within the budget.
     geo = lattice.build_lattice(l1, l2)
     monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", None)
+    times = [50.0, 100.0]
     for h in (0.01, 0.1, 1.0, 9.0, 99.0):
         spec = ed.HamiltonianSpec(geo, h=h, **CLOSURE_FIELDS[field])
         op = ed.build_hamiltonian(spec, ed.build_block(spec))
         assert ed.propagation(op.dimension) == "spectrum"
         psi0 = stabilizer.ground_state(geo, (0, 0), op.basis)
-        Q, theta, S = ed._krylov_space(op, psi0.amplitudes)
-        assert theta.size <= ed.CLOSURE_LIMIT and theta.size < op.dimension
+        Q, theta, S = closed_space(op, psi0.amplitudes)
+        assert theta.size <= CLOSURE_LIMIT and theta.size < op.dimension
         assert np.max(np.abs(Q @ Q.conj().T - np.eye(theta.size))) < 1e-12
         # A Ritz value lies within its residual beta_m |S_mj| of the
         # spectrum, so weighted by the state's overlap the distances sum to
@@ -910,43 +950,42 @@ def test_quench_state_space_closes_within_the_limit(l1, l2, field, monkeypatch):
         near = w[np.abs(w[:, None] - theta).argmin(axis=0)]
         eps_e = np.finfo(float).eps * np.abs(w).max()
         assert np.sum(np.abs(S[0]) * np.abs(near - theta)) < 16 * eps_e
-        (state,) = ed.trajectory(psi0, op, [100.0])
-        want = vecs @ (np.exp(-100j * w) * (vecs.conj().T @ psi0.amplitudes))
-        assert np.max(np.abs(state.amplitudes - want)) < sample_budget(w, 100.0)
+        coef = vecs.conj().T @ psi0.amplitudes
+        for t, state in zip(times, ed.trajectory(psi0, op, times)):
+            closure = Q.T @ (S @ (S[0] * np.exp(-1j * theta * t)))
+            want = vecs @ (np.exp(-1j * w * t) * coef)
+            assert np.max(np.abs(state.amplitudes - closure)) < sample_budget(w, t)
+            assert np.max(np.abs(state.amplitudes - want)) < sample_budget(w, t)
 
 
 def test_random_state_falls_back_to_the_eigensystem(geo33, monkeypatch):
     # A seeded random state touches nearly every eigenvalue of the 1,024-state
-    # sector, so its space is still open at CLOSURE_LIMIT vectors.
+    # sector, so its Krylov space is still open at CLOSURE_LIMIT vectors, and
+    # no lattice map fixes it. The trajectory takes one eigh of the whole
+    # sector, and builds no Lanczos vector first.
     op = ed.build_hamiltonian(ed.HamiltonianSpec(geo33, h=9.0), ed.build_sector(geo33))
     rng = np.random.default_rng(647)
     amps = rng.standard_normal(op.dimension) + 1j * rng.standard_normal(op.dimension)
     psi = stabilizer.StateVector(amps / np.linalg.norm(amps), op.basis)
-    assert ed._krylov_space(op, psi.amplitudes) is None
-    calls = []
-    eigensystem = ed.HamiltonianOperator.eigensystem
-
-    def recording(self):
-        calls.append(self.dimension)
-        return eigensystem(self)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
+    assert closed_space(op, psi.amplitudes) is None
+    assert ed._orbit_space(op, psi.amplitudes) is None
+    w, vecs = op.eigensystem()
+    sizes = recording_eigh(monkeypatch)
     (state,) = ed.trajectory(psi, op, [1.0])
-    assert calls == [1024]
-    w, vecs = eigensystem(op)
+    assert sizes == [1024]
     want = vecs @ (np.exp(-1j * w) * (vecs.T @ psi.amplitudes))
     assert np.max(np.abs(state.amplitudes - want)) < 1e-12
 
 
-def test_spectral_trajectory_at_zero_returns_the_state_by_either_route(monkeypatch):
+def test_spectral_trajectory_at_zero_returns_the_state_by_either_route():
     # A state's norm may be off 1 by up to 1e-8; its samples keep that norm,
-    # by the closed space and by the eigensystem fallback alike.
+    # on its orbits and, for the same terms given no lattice maps, on the
+    # whole block alike.
     _, op, psi0 = block_case("3x3-sector")
     amps = psi0.amplitudes * (1.0 + 5e-9)
     psi = stabilizer.StateVector(amps, op.basis)
-    for limit in (ed.CLOSURE_LIMIT, 1):
-        monkeypatch.setattr(ed, "CLOSURE_LIMIT", limit)
-        (state,) = ed.trajectory(psi, op, [0.0])
+    for route in (op, ed.HamiltonianOperator(op.terms, op.basis)):
+        (state,) = ed.trajectory(psi, route, [0.0])
         assert np.max(np.abs(state.amplitudes - amps)) < 1e-14
 
 
@@ -954,8 +993,9 @@ def test_spectral_trajectory_at_zero_returns_the_state_by_either_route(monkeypat
 def test_spectral_samples_hold_the_budget_to_the_sweep_horizon(geo33, h, monkeypatch):
     # The hardest regime of a spectral run: the 3x3 block at h = 9 and 99
     # over the sweep's window (50, 55) and its golden-ratio horizon, out to
-    # t = 2,121, by the closed space and by the eigensystem fallback,
-    # against the block's complex dense spectrum.
+    # t = 2,121, on the state's 13 orbits and, for the same terms given no
+    # lattice maps, on the whole block, against the block's complex dense
+    # spectrum.
     spec = ed.HamiltonianSpec(geo33, h=h)
     op = ed.build_hamiltonian(spec, ed.build_block(spec))
     psi0 = stabilizer.ground_state(geo33, (0, 0), op.basis)
@@ -966,20 +1006,13 @@ def test_spectral_samples_hold_the_budget_to_the_sweep_horizon(geo33, h, monkeyp
     times = [t0 + t for t in quench._time_grid(t1 - t0, 0.5)]
     times += [t0 + j * stride for j in range(1, quench._EIG_SAMPLES + 1)]
     assert 2121 < times[-1] < 2122
-    calls = []
-    eigensystem = ed.HamiltonianOperator.eigensystem
-
-    def recording(self):
-        calls.append(self.dimension)
-        return eigensystem(self)
-
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording)
-    for limit, route in ((ed.CLOSURE_LIMIT, []), (1, [256])):
-        monkeypatch.setattr(ed, "CLOSURE_LIMIT", limit)
-        for t, state in zip(times, ed.trajectory(psi0, op, times)):
+    sizes = recording_eigh(monkeypatch)
+    for route, size in ((op, 13), (ed.HamiltonianOperator(op.terms, op.basis), 256)):
+        sizes.clear()
+        for t, state in zip(times, ed.trajectory(psi0, route, times)):
             want = v_ref @ (coef * np.exp(-1j * w_ref * t))
             assert np.max(np.abs(state.amplitudes - want)) < sample_budget(w_ref, t)
-        assert calls == route
+        assert sizes == [size]
 
 
 @pytest.fixture(scope="module")

@@ -213,15 +213,15 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
     # Under uniform_z the 3x3 quench state lies in a block of 256 of the
     # 2^18 full-space states. The run builds only that block, so it is
     # spectral, and the sweep reports the eigenbasis mean from all its
-    # long-time samples without a 2^18-entry array. Each trajectory closes
-    # the quench state's Krylov space within the block.
+    # long-time samples without a 2^18-entry array. Each trajectory takes
+    # one eigh on the quench state's 13 orbits of the block.
     routes = recording_spectral_routes(monkeypatch)
     dims = recording_operators(monkeypatch)
     report = quench.run_quench(quench.QuenchConfig(L1=3, L2=3, h=0.1, t_max=0.2))
     assert report.metadata["basis_dimension"] == 1 << 18
     assert report.metadata["block_dimension"] == 256
     assert report.metadata["propagation"] == "spectrum"
-    assert closed_blocks(routes) == [256] and dims == [256]
+    assert eigh_sizes(routes) == [13] and dims == [256]
     config = quench.QuenchConfig(L1=3, L2=3, dt=0.5)
     tracemalloc.start()
     try:
@@ -229,12 +229,12 @@ def test_full_space_3x3_quench_and_sweep_run_one_spectral_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The block's Lanczos vectors and one chunk of 2^14 sample amplitudes
-    # peak at about 1.1 MiB. A complex 2^18-entry state alone is 4 MiB; a
+    # The block's operator and one chunk of 2^14 sample amplitudes peak
+    # at about 0.9 MiB. A complex 2^18-entry state alone is 4 MiB; a
     # float or index array of 2^18 entries, as the whole space's diagonal or
     # positions, is 2 MiB.
     assert peak < 3 << 20
-    assert closed_blocks(routes) == [256, 256] and dims == [256, 256]
+    assert eigh_sizes(routes) == [13, 13] and dims == [256, 256]
     assert row.eigenbasis_mean_s_top is not None
     assert abs(row.eigenbasis_mean_s_top - 1.0) < 0.05
 
@@ -262,14 +262,14 @@ def two_call_sweep_row(config, beta, window):
 
 def test_sweep_takes_one_eigensystem_per_beta(monkeypatch):
     # The window and the long horizon share one trajectory, so each beta
-    # closes the quench state's space in its 256-state block once, and the
-    # rows are bit for bit those of two separate calls.
+    # takes one eigh on the quench state's orbits of its 256-state block,
+    # and the rows are bit for bit those of two separate calls.
     config = quench.QuenchConfig(L1=3, L2=3, dt=0.5, sector_restrict=True)
     betas, window = [0.3, 0.9], (50.0, 55.0)
     want = [two_call_sweep_row(config, beta, window) for beta in betas]
     routes = recording_spectral_routes(monkeypatch)
     assert quench.long_time_average(config, betas, window) == want
-    assert closed_blocks(routes) == [256, 256]
+    assert eigh_sizes(routes) == [13, 13]
 
 
 def test_verify_passes_on_shipped_configs():
@@ -301,15 +301,13 @@ def recording_operators(monkeypatch):
 
 
 def recording_spectral_routes(monkeypatch):
-    """Record the route of every propagation: ["closed", block dimension,
-    vectors] for a trajectory's space closed within the dense cap, ["open",
-    ...] for one still open at ``ed.CLOSURE_LIMIT`` and then
-    ["eigensystem", block dimension] for its fallback, and ["krylov",
-    dimension, vectors] for each space ``ed._steps`` builds, the state's and
-    each restart's, above the cap and in ``ed.evolve``."""
+    """Record the route of every propagation: ["eigh", dimension] for a
+    trajectory's one eigensystem within the dense cap, on the state's
+    orbits or its whole block, and ["krylov", dimension, vectors] for each
+    space ``ed._steps`` builds, the state's and each restart's, above the
+    cap and in ``ed.evolve``."""
     routes = []
-    lanczos, krylov_space = ed._lanczos, ed._krylov_space
-    eigensystem = ed.HamiltonianOperator.eigensystem
+    lanczos = ed._lanczos
 
     def recording_lanczos(matvec, v, size):
         route = ["krylov", matvec.__self__.dimension, 0]
@@ -318,38 +316,38 @@ def recording_spectral_routes(monkeypatch):
             route[2] += 1
             yield space
 
-    def recording_space(op, v):
-        space = krylov_space(op, v)
-        routes[-1][0] = "open" if space is None else "closed"
-        return space
+    def recording(cls):
+        eigensystem = cls.eigensystem
 
-    def recording_eigensystem(self):
-        routes.append(["eigensystem", self.dimension])
-        return eigensystem(self)
+        def recording_eigensystem(self):
+            routes.append(["eigh", self.dimension])
+            return eigensystem(self)
+
+        monkeypatch.setattr(cls, "eigensystem", recording_eigensystem)
 
     monkeypatch.setattr(ed, "_lanczos", recording_lanczos)
-    monkeypatch.setattr(ed, "_krylov_space", recording_space)
-    monkeypatch.setattr(ed.HamiltonianOperator, "eigensystem", recording_eigensystem)
+    recording(ed.HamiltonianOperator)
+    recording(ed._OrbitOperator)
     return routes
 
 
-def closed_blocks(routes):
-    """The block dimensions of ``routes``, each checked to have closed
-    within ``ed.CLOSURE_LIMIT`` vectors."""
-    assert all(r[0] == "closed" and r[2] <= ed.CLOSURE_LIMIT for r in routes), routes
+def eigh_sizes(routes):
+    """The dimensions of ``routes``, each checked to be one eigensystem."""
+    assert all(r[0] == "eigh" for r in routes), routes
     return [r[1] for r in routes]
 
 
 def test_verify_sector_check_crosses_bases_and_methods(monkeypatch):
     # The run's 256-state block operator and the 1024-state sector
-    # reference are built. The trajectory closes the quench state's space
-    # in the block; evolve's one Krylov space runs on the whole sector.
+    # reference are built. The trajectory takes one eigh on the quench
+    # state's orbits of the block; evolve's one Krylov space runs on the
+    # whole sector.
     dims = recording_operators(monkeypatch)
     routes = recording_spectral_routes(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True))
     assert ok, lines
     assert dims == [256, 1024]
-    assert closed_blocks(routes[:1]) == [256] and routes[1:] == [["krylov", 1024, 13]]
+    assert routes == [["eigh", 13], ["krylov", 1024, 13]]
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
 
 
@@ -482,45 +480,51 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [block, 1 << 2 * l1 * l2]
-    kinds = ["krylov" if field else "closed", "krylov"]
-    spaces = [1110 if field else block, dims[1]]
+    kinds = ["krylov" if field else "eigh", "krylov"]
+    spaces = [1110 if field else {32: 8, 256: 13}[block], dims[1]]
     assert [route[:2] for route in routes] == [list(pair) for pair in zip(kinds, spaces)]
 
 
-@pytest.mark.parametrize("config", [
-    quench.QuenchConfig(L1=2, L2=2, h=0.3),
-    quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True),
-    quench.QuenchConfig(L1=3, L2=3, h=0.1, field_mode="split_HV", kappa=1.0),
+@pytest.mark.parametrize("config,orbits", [
+    (quench.QuenchConfig(L1=2, L2=2, h=0.3), 4),
+    (quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True), 13),
+    (quench.QuenchConfig(L1=3, L2=3, h=0.1, field_mode="split_HV", kappa=1.0), 1110),
 ], ids=["2x2-full", "3x3-sector", "3x3-split_HV"])
-def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config):
-    # Eigenphases of the state's Krylov space off by 1e-7 to 2e-7 are seen
-    # by the propagation check and by no other: the closed space within the
-    # dense cap, and under split_HV the open space on the 1,110 orbits of
-    # the 32,768-state block. Only the first operator's spaces, the
-    # block's, are perturbed; the whole-space reference runs on a second one.
-    lanczos = ed._lanczos
-    spaces = []  # the operator of each perturbed space
+def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config, orbits):
+    # Eigenphases on the state's orbits off by 1e-7 to 2e-7 are seen by the
+    # propagation check and by no other: the orbit eigensystem within the
+    # dense cap, and under split_HV the Krylov space on the 1,110 orbits of
+    # the 32,768-state block. Only spectra on orbits, the block's, are
+    # perturbed; the whole-space reference has no lattice maps.
+    lanczos, eigensystem = ed._lanczos, ed._OrbitOperator.eigensystem
+    spaces = []  # the operator of each perturbed spectrum
 
-    def perturbed(matvec, v, size):
+    def shifted(theta):
+        return theta + 1e-7 * np.linspace(1.0, 2.0, theta.size)
+
+    def perturbed_lanczos(matvec, v, size):
         op = matvec.__self__
-        if spaces and op is not spaces[0]:
+        if not isinstance(op, ed._OrbitOperator):
             yield from lanczos(matvec, v, size)
             return
         spaces.append(op)
         for Q, theta, S, beta in lanczos(matvec, v, size):
-            yield Q, theta + 1e-7 * np.linspace(1.0, 2.0, theta.size), S, beta
+            yield Q, shifted(theta), S, beta
 
-    monkeypatch.setattr(ed, "_lanczos", perturbed)
+    def perturbed_eigensystem(self):
+        spaces.append(self)
+        w, vecs = eigensystem(self)
+        return shifted(w), vecs
+
+    monkeypatch.setattr(ed, "_lanczos", perturbed_lanczos)
+    monkeypatch.setattr(ed._OrbitOperator, "eigensystem", perturbed_eigensystem)
     ok, lines = quench.verify(config)
     assert not ok
     fails = [line for line in lines if line.startswith("FAIL")]
     assert len(fails) == 1 and len(lines) == 8
     assert fails[0].startswith("FAIL block vs whole-basis propagation")
     (op,) = spaces
-    if config.field_mode == "split_HV":
-        assert isinstance(op, ed._OrbitOperator) and op.dimension == 1110
-    else:
-        assert ed.propagation(op.dimension) == "spectrum"
+    assert op.dimension == orbits
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
