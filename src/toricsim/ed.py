@@ -11,7 +11,11 @@ on 3x3, and 32,768 under the ``split_HV`` field. A term's flip lies in the
 span, and its gather XORs every position with one constant, or it is refused.
 ``trajectory`` propagates a state fixed by some of the operator's
 lattice maps on its orbits, one unit vector per orbit (``_OrbitOperator``),
-and any other state on the whole basis. Within the dense cap it takes one
+and any other state on the whole basis, and expands each sample, the
+reduced vector y, to the block with one gather. ``observed_trajectory``
+reads each sample's norm, fidelity and energy from y before that: on the
+3x3 ``split_HV`` block, products over 1,110 orbit amplitudes, not 32,768.
+Both run one loop, ``_samples``. Within the dense cap it takes one
 ``eigh`` there and reads every sample from the eigenphases: 13 orbits for
 the 3x3 quench state on its 256-state block. Above the cap the samples
 come from the propagator ``evolve`` runs on any basis, restarted spaces
@@ -46,6 +50,7 @@ __all__ = [
     "build_hamiltonian",
     "build_sector",
     "evolve",
+    "observed_trajectory",
     "propagation",
     "trajectory",
 ]
@@ -230,6 +235,14 @@ class HamiltonianOperator:
 
     def expectation(self, v: np.ndarray) -> float:
         return float(np.vdot(v, self.matvec(v)).real)
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """``v`` itself: the whole basis is its own reduced space."""
+        return v
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """``y`` itself, as ``restrict``."""
+        return y
 
     def _refuse_above_cap(self) -> None:
         if self.dimension > FULL_SPECTRUM_CAP:
@@ -422,11 +435,22 @@ def _orbit_space(op: HamiltonianOperator, v: np.ndarray) -> _OrbitOperator | Non
     return _OrbitOperator(op, maps) if maps else None
 
 
+def _space(state: StateVector, op: HamiltonianOperator) -> HamiltonianOperator | _OrbitOperator:
+    """The operator ``state`` propagates on: its orbits under the operator's
+    lattice maps that fix it (``_orbit_space``), else the whole operator.
+    They fix its evolution too. A state on another basis is refused."""
+    if state.basis != op.basis:
+        raise ValueError("state and operator use different bases")
+    return _orbit_space(op, state.amplitudes) or op
+
+
 def _steps(
-    state: StateVector, op: HamiltonianOperator, times: Sequence[float], tol: float
-) -> Iterator[StateVector]:
-    """Yield exp(-iHt)|state> for each time of an ascending sequence, from
-    restarted Krylov spaces whose leaks sum to at most ``tol``.
+    amplitudes: np.ndarray, space: HamiltonianOperator | _OrbitOperator,
+    times: Sequence[float], tol: float,
+) -> Iterator[np.ndarray]:
+    """Yield exp(-iHt)|psi> on ``space`` for each time of an ascending
+    sequence, psi the block vector ``amplitudes``, from restarted Krylov
+    spaces whose leaks sum to at most ``tol``.
 
     Each space grows from the current vector until ``_reach`` holds every
     remaining time, or to ``KRYLOV_DIM`` vectors. It holds t, counted from
@@ -437,21 +461,17 @@ def _steps(
     holds none past its start, as under a tol below round-off, raises
     RuntimeError. The norm is carried, never renormalized.
 
-    The spaces run on the orbits of the operator's ``symmetry_maps`` that
-    fix the initial state exactly, ``amps[p] == amps``: they fix its
-    evolution too, so the loop starts from sqrt(n) * psi at the orbit
-    representatives on the real symmetric ``_OrbitOperator`` and expands
-    each sample with one gather, psi[k] = y[orbit k] / sqrt(n_orbit k). On
-    the 3x3 ``split_HV`` block four maps are kept (the transpose swaps the
+    On orbits the loop starts from sqrt(n) * psi at the orbit
+    representatives, ``space.restrict``, and yields orbit amplitudes y, each
+    ``space.expand``-ed by one gather, psi[k] = y[orbit k] / sqrt(n_orbit k).
+    On the 3x3 ``split_HV`` block four maps are kept (the transpose swaps the
     horizontal and vertical fields), generating 36 maps and 1,110 orbits of
-    the 32,768 states. A state no map fixes runs on ``op.matvec``.
+    the 32,768 states.
     """
     span = max(map(abs, times), default=0.0)
     rate = tol / span if span else np.inf
-    norm = float(np.linalg.norm(state.amplitudes))
-    v, start, n = state.amplitudes / norm, 0.0, 0
-    orbits = _orbit_space(op, v)
-    space, v = (op, v) if orbits is None else (orbits, orbits.restrict(v))
+    norm = float(np.linalg.norm(amplitudes))
+    v, start, n = space.restrict(amplitudes / norm), 0.0, 0
     size = min(space.dimension, KRYLOV_DIM)
     while n < len(times):
         rest = [t - start for t in times[n:]]
@@ -461,8 +481,7 @@ def _steps(
                 break
         coef = norm * S[0]
         for t in rest[:count]:
-            y = _product(Q.T, S @ (coef * np.exp(-1j * theta * t)))
-            yield StateVector(y if orbits is None else orbits.expand(y), state.basis)
+            yield _product(Q.T, S @ (coef * np.exp(-1j * theta * t)))
         n += count
         if n < len(times):
             if not held:
@@ -472,43 +491,67 @@ def _steps(
             v, start = _product(Q.T, S @ (S[0] * np.exp(-1j * theta * held))), start + held
 
 
+def _samples(
+    state: StateVector, op: HamiltonianOperator, times: Sequence[float]
+) -> tuple[HamiltonianOperator | _OrbitOperator, Iterator[np.ndarray]]:
+    """``(space, ys)``: the operator ``state`` propagates on (``_space``) and
+    exp(-iHt)|state> there for each time of an ascending sequence, lazily.
+
+    Within the dense cap the state is projected once on the real eigenbasis
+    of one ``space.eigensystem()``, and each sample is
+    ``vecs @ (coef * exp(-i w t))``, one real product with the ``(dim, 2)``
+    float view of its complex coefficients, so its bits do not depend on the
+    other times of the call. Above the cap the samples come from ``_steps``
+    at tol 1e-10.
+    """
+    space = _space(state, op)
+    if propagation(op.dimension) == "krylov":
+        return space, _steps(state.amplitudes, space, times, 1e-10)
+    w, vecs = space.eigensystem()
+    coef = _product(vecs.T, space.restrict(state.amplitudes))
+    return space, (_product(vecs, coef * np.exp(-1j * w * t)) for t in times)
+
+
 def trajectory(
     state: StateVector, op: HamiltonianOperator, times: Sequence[float]
 ) -> Iterator[StateVector]:
     """Yield exp(-iHt)|state> for each time of an ascending sequence, lazily.
 
-    Within the dense cap the state is projected once on the real
-    eigenbasis of one ``eigh``: of the operator on its orbits under the
-    operator's lattice maps that fix it (``_orbit_space``), or, when no map
-    fixes it, of the whole operator (``eigensystem``). Each sample is then
-    ``expand(vecs @ (coef * exp(-i w t)))``, one real product with the
-    ``(dim, 2)`` float view of its complex coefficients and, on the orbits,
-    one gather, so its bits do not depend on the other times of the call.
-    A sample is within about 2 * eps * t * max|E| of the exact one. The 3x3
-    quench state takes one 13 x 13 ``eigh`` on its 256-state block.
-
-    Above the cap the samples come from ``_steps`` at tol 1e-10, the loop
-    ``evolve`` runs: the state's Krylov space serves the times it holds and
-    restarted spaces the rest, on the state's orbits under the operator's
-    lattice maps when any map fixes it. The 3x3 ``split_HV`` quench state's
-    first space, 13 real vectors on the 1,110 orbits of its block at
-    h = 0.3, serves every sample to t = 0.2.
+    The samples are propagated on the state's orbits under the operator's
+    lattice maps that fix it, or on the whole operator when no map fixes it
+    (``_samples``), and each is expanded to the block by one gather. Within
+    the dense cap they come from one real ``eigh`` there, and a sample is
+    within about 2 * eps * t * max|E| of the exact one: the 3x3 quench state
+    takes one 13 x 13 ``eigh`` on its 256-state block. Above the cap they
+    come from ``_steps`` at tol 1e-10, the loop ``evolve`` runs: the 3x3
+    ``split_HV`` quench state's first space, 13 real vectors on the 1,110
+    orbits of its block at h = 0.3, serves every sample to t = 0.2.
     """
-    if state.basis != op.basis:
-        raise ValueError("state and operator use different bases")
-    if propagation(op.dimension) == "krylov":
-        yield from _steps(state, op, times, 1e-10)
-        return
-    orbits = _orbit_space(op, state.amplitudes)
-    if orbits is None:
-        w, vecs = op.eigensystem()
-        coef = _product(vecs.T, state.amplitudes)
-    else:
-        w, vecs = orbits.eigensystem()
-        coef = _product(vecs.T, orbits.restrict(state.amplitudes))
-    for t in times:
-        y = _product(vecs, coef * np.exp(-1j * w * t))
-        yield StateVector(y if orbits is None else orbits.expand(y), state.basis)
+    space, ys = _samples(state, op, times)
+    for y in ys:
+        yield StateVector(space.expand(y), state.basis)
+
+
+def observed_trajectory(
+    state: StateVector, op: HamiltonianOperator, times: Sequence[float]
+) -> Iterator[tuple[StateVector, float, float, float]]:
+    """``trajectory`` with each sample's norm, fidelity with ``state`` and
+    energy, as ``(sample, norm, fidelity, energy)``.
+
+    All three are read from the sample's reduced vector y on the operator it
+    was propagated on, before it is expanded: ||y||, |y0 . y|^2 with
+    y0 = ``restrict(state)``, and Re(y^dagger H_red y) from that operator's
+    ``matvec``, never from eigencoefficients, so the energy's drift still
+    tests the propagation. The orbit basis is orthonormal and every sample
+    is fixed by the orbits' maps, so each equals its block value: on the 3x3
+    ``split_HV`` block the products run over 1,110 orbit amplitudes, not
+    32,768.
+    """
+    space, ys = _samples(state, op, times)
+    y0 = space.restrict(state.amplitudes)
+    for y in ys:
+        yield (StateVector(space.expand(y), state.basis), float(np.linalg.norm(y)),
+               float(abs(np.vdot(y0, y)) ** 2), float(np.vdot(y, space.matvec(y)).real))
 
 
 def evolve(
@@ -522,7 +565,6 @@ def evolve(
     operator has lattice maps that fix it. Unitarity is inherited, not
     enforced.
     """
-    if state.basis != op.basis:
-        raise ValueError("state and operator use different bases")
-    (out,) = _steps(state, op, [t], tol)
-    return out
+    space = _space(state, op)
+    (y,) = _steps(state.amplitudes, space, [t], tol)
+    return StateVector(space.expand(y), state.basis)

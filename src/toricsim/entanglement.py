@@ -147,7 +147,11 @@ def renyi(spectra: np.ndarray, alpha: float):
     """Renyi entropy of each row of entanglement spectra, in bits.
 
     alpha = 1 is the von Neumann entropy with 0*log(0) = 0; other finite
-    positive alpha use (1/(1-alpha)) log2 sum(lambda^alpha). Each row is
+    positive alpha use (1/(1-alpha)) log2 sum(lambda^alpha), taken as
+    -log2 l + (log2 sum((lambda/l)^alpha) + log2 l) / (1-alpha), l the
+    largest eigenvalue: no large alpha underflows the sum to zero or
+    overflows alpha log2 l, and a flat spectrum of 2^k values gives k bits
+    exactly. Each row is
     sorted descending, and its eigenvalues below the rank cutoff become
     exact zeros at its tail; this also absorbs the tiny negatives dense
     eigensolvers produce. A row is summed over its kept values only, so its
@@ -159,13 +163,18 @@ def renyi(spectra: np.ndarray, alpha: float):
     lam = np.sort(np.atleast_2d(spectra), axis=1)[:, ::-1]
     kept = lam > RANK_CUTOFF * lam.max(axis=1, initial=0.0, keepdims=True)
     lam = np.where(kept, lam, 0.0)
-    terms = lam * np.log2(np.where(kept, lam, 1.0)) if alpha == 1.0 else lam**alpha
+    top = np.where(kept[:, :1], lam[:, :1], 1.0)
+    terms = lam * np.log2(np.where(kept, lam, 1.0)) if alpha == 1.0 else (lam / top) ** alpha
     counts = kept.sum(axis=1)
     out = np.zeros(lam.shape[0])
     for m in sorted(set(counts.tolist()) - {0}):
         rows = counts == m
         total = terms[rows, :m].sum(axis=1)
-        out[rows] = -total if alpha == 1.0 else np.log2(total) / (1.0 - alpha)
+        if alpha == 1.0:
+            out[rows] = -total
+        else:
+            log_top = np.log2(top[rows, 0])
+            out[rows] = (np.log2(total) + log_top) / (1.0 - alpha) - log_top
     return out if spectra.ndim == 2 else float(out[0])
 
 

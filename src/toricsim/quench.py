@@ -9,8 +9,11 @@ A run builds its initial state and operator only on the block of that
 state, the span of the Hamiltonian's flips from ``ed.build_block``; the
 config's whole space, 2^N states or the plaquette sector, is only counted
 against the cap, reported, and built by ``verify`` as its reference. Every state comes from
-``ed.trajectory``: a quench takes its grid from one call, and a sweep takes
-its window and its long-horizon samples from one call per field value.
+``ed.trajectory``'s one loop: a quench takes its grid from one call of
+``ed.observed_trajectory``, which also reads each sample's norm, fidelity
+and energy from its reduced vector, and a sweep takes its window and its
+long-horizon samples from one ``ed.trajectory`` call per field value, with
+no observable but the entropies.
 Every entropy comes from ``entanglement.entropy_series``, which reads
 those samples lazily, in chunks, and shares a chunk's region spectra
 across the Renyi indices.
@@ -167,8 +170,11 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
 
     Samples fidelity with the initial state, energy, and the four region
     entropies (per requested Renyi index) at every multiple of dt up to
-    t_max. Raises RuntimeError with diagnostics if the series violates its
-    own conservation tolerances.
+    t_max. Each sample's norm, fidelity and energy come from
+    ``ed.observed_trajectory``, read from its orbit amplitudes before they
+    are expanded; the entropies read the expanded block state, since a
+    region split needs every amplitude. Raises RuntimeError with
+    diagnostics if the series violates its own conservation tolerances.
     """
     times = _time_grid(config.t_max, config.dt)
     geo, partition, psi0, op = _prepare(config)
@@ -177,16 +183,18 @@ def run_quench(config: QuenchConfig) -> QuenchReport:
     energy: list[float] = []
 
     def checked():
-        """The trajectory, each sample's norm checked and its fidelity and energy kept."""
-        for t, state in zip(times, ed.trajectory(psi0, op, times)):
-            norm_err = abs(float(np.linalg.norm(state.amplitudes)) - 1.0)
+        """The trajectory, each sample's norm checked and its fidelity and energy
+        kept, all three read from its reduced vector (``ed.observed_trajectory``)."""
+        samples = ed.observed_trajectory(psi0, op, times)
+        for t, (state, norm, f, e) in zip(times, samples):
+            norm_err = abs(norm - 1.0)
             # Written as not (x <= tol) so that a NaN fails each check.
             if not norm_err <= NORM_DRIFT_TOL:
                 raise RuntimeError(
                     f"norm drifted by {norm_err:.3e} at t={t:g} (tol {NORM_DRIFT_TOL:.1e})"
                 )
-            fid.append(entanglement.fidelity(psi0, state))
-            energy.append(op.expectation(state.amplitudes))
+            fid.append(f)
+            energy.append(e)
             yield state
 
     entropy = entanglement.entropy_series(checked(), partition, config.alpha_list)

@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, outputs, and config merging."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -12,7 +15,8 @@ import pytest
 
 from toricsim import cli, entanglement, lattice, quench, stabilizer
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_ground_reports_energy(capsys):
@@ -206,40 +210,25 @@ def test_non_finite_hamiltonian_is_config_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def nan_after_first(fn):
-    """``fn`` whose calls after the first return NaN."""
-    calls = []
-
-    def wrapped(*args):
-        calls.append(1)
-        return fn(*args) if len(calls) == 1 else float("nan")
-
-    return wrapped
-
-
 @pytest.mark.parametrize("check", ["energy", "fidelity", "norm"])
 def test_nan_fails_the_conservation_checks(check, monkeypatch, tmp_path, capsys):
-    # Every check is written so that a NaN fails it, wherever it falls.
-    from toricsim import ed, entanglement
+    # Every check is written so that a NaN fails it, wherever it falls: the
+    # energy of every sample after the first, or the fidelity or the norm
+    # of every sample, as ``ed.observed_trajectory`` reads them.
+    from toricsim import ed
 
-    if check == "energy":
-        expectation = ed.HamiltonianOperator.expectation
-        monkeypatch.setattr(ed.HamiltonianOperator, "expectation", nan_after_first(expectation))
-        message = "energy drifted by nan"
-    elif check == "fidelity":
-        monkeypatch.setattr(entanglement, "fidelity", lambda a, b: float("nan"))
-        message = "initial fidelity nan"
-    else:
-        trajectory = ed.trajectory
+    observed = ed.observed_trajectory
+    field = {"norm": 1, "fidelity": 2, "energy": 3}[check]
 
-        def nan_states(state, op, times):
-            # A StateVector refuses NaN amplitudes, so they are set past its check.
-            for s in trajectory(state, op, times):
-                s.amplitudes = s.amplitudes * np.nan
-                yield s
+    def nan_samples(state, op, times):
+        for i, sample in enumerate(observed(state, op, times)):
+            if i or check != "energy":
+                sample = sample[:field] + (float("nan"),) + sample[field + 1:]
+            yield sample
 
-        monkeypatch.setattr(ed, "trajectory", nan_states)
-        message = "norm drifted by nan"
+    monkeypatch.setattr(ed, "observed_trajectory", nan_samples)
+    message = {"energy": "energy drifted by nan", "fidelity": "initial fidelity nan",
+               "norm": "norm drifted by nan"}[check]
     with pytest.raises(RuntimeError, match=message):
         quench.run_quench(quench.QuenchConfig(L1=2, L2=2, t_max=1.0, dt=0.5))
     out = tmp_path / "run.csv"
@@ -430,9 +419,29 @@ def test_thread_configuration(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("TORICSIM_THREADS", "3")
     cli._configure_threads()
-    import os
 
     assert all(os.environ[var] == "3" for var in cli._THREAD_VARS)
+
+
+def test_split_hv_quench_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # The benchmark's 3x3 split_HV quench, run at one and two BLAS threads
+    # in fresh processes. Its fidelity and energy are read from the 1,110
+    # orbit amplitudes; 32,768-entry block products, which OpenBLAS splits
+    # across threads, would differ in their last digits.
+    argv = shlex.split("quench --l1 3 --l2 3 --full-space --field-mode split_HV --h 0.3 "
+                       "--kappa 1 --t-max 0.2 --dt 0.1 --alpha 1,2")
+    texts = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "TORICSIM_THREADS": threads,
+               **{var: threads for var in cli._THREAD_VARS},
+               "PYTHONPATH": os.pathsep.join(filter(None, (
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"threads-{threads}.csv"
+        subprocess.run([sys.executable, "-m", "toricsim.cli", *argv, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        texts.append(out.read_bytes())
+    assert texts[0].count(b"\n") == 4
+    assert texts[0] == texts[1]
 
 
 def readme_commands():

@@ -7,6 +7,7 @@ import pytest
 
 from basis_oracle import locate
 from gf2_kernel import kernel_basis
+from observable_oracle import observable_gaps
 from pauli_algebra import apply_to_basis, commutes, pauli_multiply
 from toricsim import ed, gf2, lattice, pauli, quench, stabilizer
 
@@ -975,6 +976,28 @@ def test_random_state_falls_back_to_the_eigensystem(geo33, monkeypatch):
     assert sizes == [1024]
     want = vecs @ (np.exp(-1j * w) * (vecs.T @ psi.amplitudes))
     assert np.max(np.abs(state.amplitudes - want)) < 1e-12
+
+
+@pytest.mark.parametrize("route", ["orbits", "map-free"])
+def test_reduced_observables_match_the_block_oracle_within_the_cap(route):
+    # The 3x3 quench state at h = 9 out to t = 100, on its 13 orbits of the
+    # 256-state block and, built without maps, on the whole block. Within
+    # the observable_oracle budgets on the orbits, and exactly on the block,
+    # where y is the block vector. The above-cap route, the 1,110 orbits of
+    # the split_HV block, is checked in test_ising_rings.
+    config = quench.QuenchConfig(L1=3, L2=3, h=9.0, sector_restrict=True)
+    _, _, psi0, op = quench._prepare(config)
+    if route == "map-free":
+        op = ed.HamiltonianOperator(op.terms, op.basis)
+    assert ed._space(psi0, op).dimension == {"orbits": 13, "map-free": 256}[route]
+    times = [0.0, 0.5, 1.0, 10.0, 50.0, 99.5, 100.0]
+    gaps, _ = observable_gaps(psi0, op, times)
+    assert gaps.max() <= 1.0, gaps
+    if route == "map-free":
+        assert not gaps.any()
+    # The samples are trajectory's, bit for bit: one loop serves both.
+    pairs = zip(ed.observed_trajectory(psi0, op, times), ed.trajectory(psi0, op, times))
+    assert all(np.array_equal(a[0].amplitudes, b.amplitudes) for a, b in pairs)
 
 
 def test_spectral_trajectory_at_zero_returns_the_state_by_either_route():

@@ -200,6 +200,24 @@ def test_renyi_known_values_and_clipping():
         entanglement.renyi(lam, -2.0)
 
 
+@pytest.mark.parametrize("alpha", [300.0, 1e300])
+def test_renyi_large_index_gives_the_rank_bits_of_a_flat_spectrum(geo33, alpha):
+    # lambda^alpha underflows to zero at these indices, and the entropy was
+    # inf; the powers of lambda / lambda_max keep their largest term at 1.
+    # A flat ground-state spectrum gives its GF(2) rank bits, and a spectrum
+    # that is not flat tends to the min-entropy, -log2 lambda_max.
+    psi = stabilizer.ground_state(geo33, (0, 0), ed.build_sector(geo33))
+    part = lattice.build_partition(geo33, "levinwen-small")
+    for region in part.regions:
+        spectrum = entanglement.region_spectrum(psi, region)
+        bits = stabilizer.analytic_region_entropy(geo33, region)
+        assert abs(entanglement.renyi(spectrum, alpha) - bits) < 1e-12
+    assert abs(entanglement.topological_entropy(psi, part, alpha).s_top - 1.0) < 1e-12
+    lam = np.array([0.5, 0.25, 0.25])
+    want = 1.0 + (np.log2(1.0 + 2.0 ** (1.0 - alpha)) - 1.0) / (1.0 - alpha)
+    assert abs(entanglement.renyi(lam, alpha) - want) < 1e-12
+
+
 def test_renyi_continuous_at_alpha_one():
     rng = np.random.default_rng(113)
     lam = rng.random(6)
@@ -666,7 +684,9 @@ def per_state_reports(states, partition, alphas):
             return 0.0
         if alpha == 1.0:
             return float(-np.sum(lam * np.log2(lam)))
-        return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+        log_top = np.log2(lam.max())
+        return float((np.log2(np.sum((lam / lam.max()) ** alpha)) + log_top) / (1.0 - alpha)
+                     - log_top)
 
     reports = {alpha: [] for alpha in alphas}
     for state in states:

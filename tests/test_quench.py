@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -475,11 +476,14 @@ def test_verify_checks_propagation_on_the_full_space(monkeypatch, l1, l2, field,
     # restart, and so does the whole basis's, which has no lattice maps.
     routes = recording_spectral_routes(monkeypatch)
     dims = recording_operators(monkeypatch)
+    callers = recording_matvec_callers(monkeypatch)
     ok, lines = quench.verify(quench.QuenchConfig(L1=l1, L2=l2, h=0.1, **field))
     assert ok, lines
     assert len(lines) == 8 and all(line.startswith("PASS") for line in lines)
     assert lines[-1].startswith("PASS block vs whole-basis propagation")
     assert dims == [block, 1 << 2 * l1 * l2]
+    # Every matvec is a Krylov space's: verify reads no observable of a sample.
+    assert callers and {name for name, _ in callers} == {"_lanczos"}
     kinds = ["krylov" if field else "eigh", "krylov"]
     spaces = [1110 if field else {32: 8, 256: 13}[block], dims[1]]
     assert [route[:2] for route in routes] == [list(pair) for pair in zip(kinds, spaces)]
@@ -525,6 +529,68 @@ def test_verify_fails_on_perturbed_block_propagation(monkeypatch, config, orbits
     assert fails[0].startswith("FAIL block vs whole-basis propagation")
     (op,) = spaces
     assert op.dimension == orbits
+
+
+def recording_matvec_callers(monkeypatch):
+    """Record each matvec, of the block operator or of an orbit operator, as
+    the name of the function that calls it and the operator's dimension."""
+    callers = []
+    for cls in (ed.HamiltonianOperator, ed._OrbitOperator):
+        def recording_matvec(self, v, matvec=cls.matvec):
+            callers.append((sys._getframe(1).f_code.co_name, self.dimension))
+            return matvec(self, v)
+
+        monkeypatch.setattr(cls, "matvec", recording_matvec)
+    return callers
+
+
+def test_only_run_quench_takes_matvecs_outside_the_propagation(monkeypatch):
+    # A sweep reads no observable of a sample, so within the cap it takes
+    # no matvec at all, and above it only its Krylov spaces' (``_lanczos``);
+    # so does verify (the full-space configs are checked in
+    # test_verify_checks_propagation_on_the_full_space). run_quench takes
+    # one more per sample for its energy, on the 1,110-orbit operator.
+    callers = recording_matvec_callers(monkeypatch)
+    sector = quench.QuenchConfig(L1=3, L2=3, dt=0.5, sector_restrict=True)
+    quench.long_time_average(sector, [0.3, 0.9], (50.0, 55.0))
+    assert callers == []
+    split = quench.QuenchConfig(L1=3, L2=3, field_mode="split_HV", kappa=1.0, dt=0.1)
+    quench.long_time_average(split, [0.1], (1.0, 2.0))
+    assert callers and {name for name, _ in callers} == {"_lanczos"}
+    callers.clear()
+    ok, lines = quench.verify(sector)
+    assert ok, lines
+    assert callers and {name for name, _ in callers} == {"_lanczos"}
+    callers.clear()
+    report = quench.run_quench(dataclasses.replace(split, h=0.3, t_max=0.2))
+    observed = [dim for name, dim in callers if name != "_lanczos"]
+    assert observed == [1110] * len(report.times) == [1110] * 3
+    assert {name for name, _ in callers} == {"_lanczos", "observed_trajectory"}
+
+
+@pytest.mark.parametrize("config", [
+    quench.QuenchConfig(L1=3, L2=3, h=0.1, sector_restrict=True),
+    quench.QuenchConfig(L1=3, L2=3, h=0.1, field_mode="split_HV", kappa=1.0),
+], ids=["3x3-sector", "3x3-split_HV"])
+def test_verify_fails_on_a_norm_keeping_expand_fault(monkeypatch, config):
+    # A quench reads its norm, fidelity and energy from the orbit amplitudes,
+    # before the one gather that expands them, so a fault there that keeps
+    # the norm, each state taking its neighbour's orbit, passes the run's
+    # own checks. verify's propagation check compares the expanded block
+    # state with the whole space's, and fails, within the dense cap (13
+    # orbits) and above it (1,110), and no other check does.
+    expand = ed._OrbitOperator.expand
+
+    def misplaced(self, y):
+        return np.roll(expand(self, y), 1)
+
+    monkeypatch.setattr(ed._OrbitOperator, "expand", misplaced)
+    quench.run_quench(dataclasses.replace(config, t_max=0.2))
+    ok, lines = quench.verify(config)
+    assert not ok
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert len(fails) == 1 and len(lines) == 8
+    assert fails[0].startswith("FAIL block vs whole-basis propagation")
 
 
 def test_verify_fails_on_a_defective_ground_state(monkeypatch, capsys):
