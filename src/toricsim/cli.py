@@ -234,14 +234,14 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         dest="sector_restrict",
         action="store_const",
         const=True,
-        help="count and verify the run on the plaquette-constrained sector",
+        help="report and verify the run against the plaquette-constrained sector",
     )
     sector.add_argument(
         "--full-space",
         dest="sector_restrict",
         action="store_const",
         const=False,
-        help="count and verify the run on the full 2^N space",
+        help="report and verify the run against the full 2^N space",
     )
     p.add_argument("--out", help="output file path")
     p.set_defaults(sector_restrict=None)

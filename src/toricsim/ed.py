@@ -512,6 +512,16 @@ def _samples(
     return space, (_product(vecs, coef * np.exp(-1j * w * t)) for t in times)
 
 
+def _sample(space, y: np.ndarray, basis: Basis, t: float) -> StateVector:
+    """The block state of the sample y at time t. The evolved state passed the
+    norm check, so a sample that fails it is a propagation fault: RuntimeError."""
+    amplitudes = space.expand(y)
+    try:
+        return StateVector(amplitudes, basis)
+    except ValueError as exc:
+        raise RuntimeError(f"propagation broke the norm at t={t:g}: {exc}") from None
+
+
 def trajectory(
     state: StateVector, op: HamiltonianOperator, times: Sequence[float]
 ) -> Iterator[StateVector]:
@@ -528,8 +538,8 @@ def trajectory(
     orbits of its block at h = 0.3, serves every sample to t = 0.2.
     """
     space, ys = _samples(state, op, times)
-    for y in ys:
-        yield StateVector(space.expand(y), state.basis)
+    for t, y in zip(times, ys):
+        yield _sample(space, y, state.basis, t)
 
 
 def observed_trajectory(
@@ -549,8 +559,8 @@ def observed_trajectory(
     """
     space, ys = _samples(state, op, times)
     y0 = space.restrict(state.amplitudes)
-    for y in ys:
-        yield (StateVector(space.expand(y), state.basis), float(np.linalg.norm(y)),
+    for t, y in zip(times, ys):
+        yield (_sample(space, y, state.basis, t), float(np.linalg.norm(y)),
                float(abs(np.vdot(y0, y)) ** 2), float(np.vdot(y, space.matvec(y)).real))
 
 
@@ -567,4 +577,4 @@ def evolve(
     """
     space = _space(state, op)
     (y,) = _steps(state.amplitudes, space, [t], tol)
-    return StateVector(space.expand(y), state.basis)
+    return _sample(space, y, state.basis, t)

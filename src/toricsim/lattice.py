@@ -167,6 +167,9 @@ _PRESETS: dict[tuple[int, int], dict[str, tuple[tuple[int, ...], ...]]] = {
             (7, 9, 13, 15),
         ),
     },
+    (4, 4): {
+        "levinwen-small": ((3, 10, 11, 18), (3, 10, 11), (5, 12, 13, 20), (5, 12, 13)),
+    },
 }
 
 

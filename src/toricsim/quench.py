@@ -7,8 +7,8 @@ region entropies are sampled on a uniform time grid. Sweeps parameterize the
 field by beta = h / (1 + h), which maps h in [0, inf) onto [0, 1).
 A run builds its initial state and operator only on the block of that
 state, the span of the Hamiltonian's flips from ``ed.build_block``; the
-config's whole space, 2^N states or the plaquette sector, is only counted
-against the cap, reported, and built by ``verify`` as its reference. Every state comes from
+config's whole space, 2^N states or the plaquette sector, is only
+reported, and built by ``verify`` as its reference. Every state comes from
 ``ed.trajectory``'s one loop: a quench takes its grid from one call of
 ``ed.observed_trajectory``, which also reads each sample's norm, fidelity
 and energy from its reduced vector, and a sweep takes its window and its
@@ -17,7 +17,8 @@ no observable but the entropies.
 Every entropy comes from ``entanglement.entropy_series``, which reads
 those samples lazily, in chunks, and shares a chunk's region spectra
 across the Renyi indices.
-Every run checks its conservation against the fixed ``*_TOL`` tolerances.
+A quench checks its conservation against the fixed ``*_TOL`` tolerances;
+a sweep's and ``verify``'s samples, like a quench's, pass ``ed``'s norm check.
 
 All emitted files are byte-identical across reruns of the same config: the
 pipeline is deterministic end to end.
@@ -78,7 +79,9 @@ def _finite(name: str, value) -> float:
 
 @dataclass(frozen=True)
 class QuenchConfig:
-    """Full description of one quench run."""
+    """Full description of one quench run. A star span, which every block
+    holds, above the cap is refused; the whole space (``space_bits``) is only
+    reported and built by ``verify``."""
 
     L1: int
     L2: int
@@ -100,19 +103,19 @@ class QuenchConfig:
             raise ValueError(f"partition_preset must be a string, got {self.partition_preset!r}")
         if not isinstance(self.sector_restrict, bool):
             raise ValueError(f"sector_restrict must be a bool, got {self.sector_restrict!r}")
+        # Every block and the plaquette sector hold the star span, as J is never 0.
         # Refused before any lattice is built, since that build is linear in sites.
-        space = "plaquette sector" if self.sector_restrict else "full space"
-        stabilizer.check_dimension(self.space_bits(), f"the {self.L1}x{self.L2} {space}")
+        stabilizer.check_dimension(self.L1 * self.L2 - 1, f"the {self.L1}x{self.L2} star span")
         for name in ("h", "kappa", "t_max", "dt"):
             _finite(name, getattr(self, name))
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.t_max < 0:
             raise ValueError("t_max must be nonnegative")
-        if self.sector_restrict and self.field_mode != "uniform_z":
+        if self.sector_restrict and self.field_mode == "split_HV" and self.kappa != 0:
             raise ValueError(
-                "sector restriction needs the uniform_z field; other fields "
-                "do not commute with the plaquette constraints"
+                "sector restriction needs kappa = 0 under split_HV; its vertical "
+                "sigma^x field does not commute with the plaquette constraints"
             )
         if not isinstance(self.alpha_list, (list, tuple)):
             raise ValueError(f"alpha_list must be a list, got {self.alpha_list!r}")
@@ -363,8 +366,8 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     eigenphases of the block state's lattice orbits against leak-bounded
     Krylov spaces on the whole space. Above the cap the block's spaces run
     on the state's orbits; the reference's operator is built without
-    lattice maps, so its spaces run on the whole space. It runs at every
-    size the config admits.
+    lattice maps, so its spaces run on the whole space. The reference is
+    built before any check, so one above the cap is refused at once.
 
     The four ground states are built on the plaquette sector, with or
     without ``sector_restrict``, and every check but the propagation one
@@ -378,6 +381,7 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
     geo = lattice.build_lattice(config.L1, config.L2)
     partition = lattice.build_partition(geo, config.partition_preset)
     basis = ed.build_sector(geo)
+    space = basis if config.sector_restrict else stabilizer.full_basis(geo.n_spins)
     sectors = [(w1, w2) for w1 in (0, 1) for w2 in (0, 1)]
     states = {s: stabilizer.ground_state(geo, s, basis) for s in sectors}
 
@@ -429,7 +433,6 @@ def verify(config: QuenchConfig) -> tuple[bool, list[str]]:
 
     # The run's own propagation on its block, against Krylov on the whole space.
     _, _, psi0, op = _prepare(replace(config, h=config.h or 0.1))
-    space = basis if config.sector_restrict else stabilizer.full_basis(geo.n_spins)
     amps = np.zeros((2, space.dimension), dtype=np.complex128)
     amps[:, op.basis.region_rows(space.pivots)] = (
         psi0.amplitudes, next(ed.trajectory(psi0, op, [1.0])).amplitudes)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -84,6 +85,38 @@ def test_oversize_lattice_is_refused_before_it_is_built(argv, monkeypatch, capsy
     assert time.monotonic() - start < 1.0
     err = capsys.readouterr().err
     assert "configuration error" in err and "cap" in err
+
+
+@pytest.mark.parametrize("command", [["quench", "--t-max", "0"], ["sweep", "--beta-grid", "0.5"],
+                                     ["verify"]])
+@pytest.mark.parametrize("space", ["--full-space", "--sector-restrict"])
+def test_5x5_is_refused_on_its_star_span_before_the_lattice_is_built(
+        command, space, monkeypatch, capsys):
+    # Every block holds the 2^24-state star span, above the cap whatever
+    # the field or the sector flag.
+    def unreachable(L1, L2):
+        raise AssertionError("lattice built before the cap check")
+
+    monkeypatch.setattr(lattice, "build_lattice", unreachable)
+    assert cli.main([*command, space, "--l1", "5", "--l2", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: the 5x5 star span has 2^24 basis states" in err
+
+
+def test_verify_refuses_a_whole_space_above_the_cap_before_any_check(monkeypatch, capsys):
+    # A 4x4 quench runs on its block, but verify's full-space reference has
+    # 2^32 states: it is built first, so no sector check runs.
+    def unreachable(*args):
+        raise AssertionError("a check ran before the reference was built")
+
+    monkeypatch.setattr(quench, "_check", unreachable)
+    monkeypatch.setattr(stabilizer, "ground_state", unreachable)
+    start = time.monotonic()
+    assert cli.main(["verify", "--l1", "4", "--l2", "4", "--full-space"]) == 2
+    assert time.monotonic() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "configuration error: the full space of 32 spins has 2^32 basis states" in err
 
 
 def test_repeated_renyi_index_is_config_error(tmp_path, capsys):
@@ -186,6 +219,43 @@ def test_physics_failure_exits_one(monkeypatch, tmp_path, capsys):
     )
     assert code == 1
     assert "check failed: norm drifted" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,fault,sample", [
+    ("quench --l1 3 --l2 3 --full-space --field-mode split_HV --h 0.3 --kappa 1 --t-max 0.2",
+     "krylov", ("0", 1.5)),
+    ("quench --l1 3 --l2 3 --sector-restrict --t-max 0.2", "eigh", ("0", 2.25)),
+    ("sweep --l1 3 --l2 3 --sector-restrict --beta-grid 0.5 --window 50 55 --dt 0.5", "eigh",
+     ("50", 2.25)),
+    ("verify --l1 3 --l2 3 --sector-restrict", "eigh", ("1", 2.25)),
+], ids=["krylov-quench", "sector-quench", "sweep", "verify"])
+def test_a_propagation_fault_that_breaks_the_norm_exits_one(
+        argv, fault, sample, monkeypatch, tmp_path, capsys):
+    # The evolved state passed the StateVector norm check, so a sample that
+    # fails it is a failed physics check, not a configuration error. Above
+    # the dense cap each Krylov sample is scaled by 1.5; within it the orbit
+    # eigenvectors are, so each sample is scaled by 2.25.
+    from toricsim import ed
+
+    if fault == "krylov":
+        steps = ed._steps
+        monkeypatch.setattr(ed, "_steps", lambda *args: (1.5 * y for y in steps(*args)))
+    else:
+        eigensystem = ed._OrbitOperator.eigensystem
+
+        def scaled(self):
+            w, vecs = eigensystem(self)
+            return w, 1.5 * vecs
+
+        monkeypatch.setattr(ed._OrbitOperator, "eigensystem", scaled)
+    out = tmp_path / "out.csv"
+    assert cli.main([*shlex.split(argv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(r"toricsim: check failed: propagation broke the norm at t=(\S+): "
+                         r"state is not normalized: \|psi\| = (\S+)\n", err)
+    assert found, err
+    assert found[1] == sample[0] and abs(float(found[2]) - sample[1]) < 1e-12
     assert not out.exists()
 
 
@@ -445,22 +515,26 @@ def test_split_hv_quench_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def readme_commands():
-    """The argv of each example in the README's command-line block."""
+    """The argv of each command in the fenced ``sh`` block under the
+    README's "Command line" heading."""
     text = README.read_text(encoding="utf-8")
-    block = next(b for b in text.split("```sh\n")[1:] if "toricsim ground" in b)
-    lines = block.split("```")[0].replace("\\\n", " ").splitlines()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("toricsim ")]
 
 
-def test_readme_cli_examples_run(tmp_path, capsys):
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # Every command of the block exits 0, run in tmp_path, and writes the
+    # files it names there; each subcommand has one.
     commands = readme_commands()
-    assert [argv[0] for argv in commands] == ["ground", "verify", "quench", "sweep", "entropy"]
+    assert {argv[0] for argv in commands} == {"ground", "verify", "quench", "sweep", "entropy"}
+    assert ["quench", "--l1", "4", "--l2", "4", "--full-space"] in [argv[:6] for argv in commands]
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        if "--out" in argv:
-            i = argv.index("--out") + 1
-            argv[i] = str(tmp_path / argv[i])
         assert cli.main(argv) == 0, argv
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["psi.npz", "quench.csv", "sweep.csv"]
+    written = [argv[argv.index("--out") + 1] for argv in commands if "--out" in argv]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
 
 def test_readme_python_sketches_run(tmp_path, monkeypatch, capsys):

@@ -550,23 +550,32 @@ def test_full_and_arbitrary_bases_split_like_the_expanded_route(geo23):
 
 
 def test_4x4_sector_regions_follow_the_group_rule():
-    # The 2^17-state sector splits into one-row classes of 2^13 or 2^14
-    # columns; a 2^|A| x n_c split of 2^21 entries used to be refused.
+    # The shipped 4x4 preset, validated as the 3x3 ones are, on the four
+    # sector ground states: the 2^17-state sector splits into one-row
+    # classes of 2^13 or 2^14 columns, each region's spectrum is flat with
+    # the GF(2) rule's bits at every index, and S_top is 1 bit.
     geo = lattice.build_lattice(4, 4)
     basis = ed.build_sector(geo)
     assert basis.dimension == 1 << 17
-    psi = stabilizer.ground_state(geo, (0, 0), basis)
-    part = lattice.RegionPartition(
-        regions=((3, 10, 11, 18), (3, 10, 11), (5, 12, 13, 20), (5, 12, 13)), label="4x4")
+    assert lattice.partition_presets(geo) == ("levinwen-small",)
+    part = lattice.build_partition(geo, "levinwen-small")
     want = [stabilizer.analytic_region_entropy(geo, r) for r in part.regions]
     assert want == [4.0, 3.0, 4.0, 3.0]
     for region in part.regions:
         assert basis.split_positions(region)[1] == (1 << len(region), 1, 1 << (17 - len(region)))
-    for alpha in (1.0, 2.0):
-        report = entanglement.topological_entropy(psi, part, alpha)
-        got = [report.s1, report.s2, report.s3, report.s4]
-        assert np.max(np.abs(np.subtract(got, want))) < 1e-10
-        assert abs(report.s_top - 1.0) < 1e-10
+    for sector in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+        psi = stabilizer.ground_state(geo, sector, basis)
+        for region, bits in zip(part.regions, want):
+            spec = entanglement.region_spectrum(psi, region)
+            top = spec[spec > entanglement.RANK_CUTOFF * spec.max()]
+            assert top.size == 1 << int(bits) and top.max() - top.min() < 1e-10
+            for alpha in (1.0, 2.0, 3.0):
+                assert abs(entanglement.renyi(spec, alpha) - bits) < 1e-10
+        for alpha in (1.0, 2.0):
+            report = entanglement.topological_entropy(psi, part, alpha)
+            got = [report.s1, report.s2, report.s3, report.s4]
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-10
+            assert abs(report.s_top - 1.0) < 1e-10, (sector, alpha)
 
 
 def region_rows_oracle(basis, spins):

@@ -180,7 +180,7 @@ def test_build_is_deterministic():
 
 def all_preset_partitions():
     out = []
-    for l1, l2 in [(2, 2), (2, 3), (3, 3)]:
+    for l1, l2 in [(2, 2), (2, 3), (3, 3), (4, 4)]:
         geo = lattice.build_lattice(l1, l2)
         for name in lattice.partition_presets(geo):
             out.append((geo, lattice.build_partition(geo, name)))
@@ -191,7 +191,8 @@ def test_presets_shipped_for_small_sizes(geo22, geo23, geo33):
     assert "levinwen-small" in lattice.partition_presets(geo22)
     assert "levinwen-small" in lattice.partition_presets(geo23)
     assert set(lattice.partition_presets(geo33)) >= {"levinwen-small", "levinwen-ring"}
-    assert lattice.partition_presets(lattice.build_lattice(4, 4)) == ()
+    assert lattice.partition_presets(lattice.build_lattice(4, 4)) == ("levinwen-small",)
+    assert lattice.partition_presets(lattice.build_lattice(4, 5)) == ()
 
 
 def test_preset_regions_well_formed():

@@ -29,8 +29,10 @@ def test_config_validation():
         small_config(alpha_list=())
     with pytest.raises(ValueError):
         small_config(alpha_list=(1.0, -2.0))
-    with pytest.raises(ValueError):
-        small_config(field_mode="split_HV", sector_restrict=True)
+    # Only split_HV's vertical sigma^x field, kappa * h, leaves the sector.
+    with pytest.raises(ValueError, match="kappa = 0"):
+        small_config(field_mode="split_HV", kappa=1.0, sector_restrict=True)
+    small_config(field_mode="split_HV", kappa=0.0, sector_restrict=True)
     for bad in ({"partition_preset": []}, {"sector_restrict": "no"}, {"sector_restrict": 1}):
         with pytest.raises(ValueError):
             small_config(**bad)
@@ -43,13 +45,18 @@ def test_config_validation():
 
 
 def test_config_refuses_a_basis_above_the_cap():
-    # 2^20 states is the cap: 3x3 full (2^18) and 4x4 sector (2^17) pass.
-    quench.QuenchConfig(L1=3, L2=3)
-    quench.QuenchConfig(L1=4, L2=4, sector_restrict=True)
-    with pytest.raises(ValueError, match="4x4 full space has 2\\^32"):
-        quench.QuenchConfig(L1=4, L2=4)
-    with pytest.raises(ValueError, match="5x4 plaquette sector has 2\\^21"):
-        quench.QuenchConfig(L1=5, L2=4, sector_restrict=True)
+    # 2^20 states is the cap. A config refuses only the star span,
+    # 2^(L1 L2 - 1) states, which every block and the plaquette sector hold;
+    # its whole space is only reported. So 4x4 passes with or without the
+    # sector (2^32 and 2^17 whole, 2^15 stars), and so do 5x4 (2^19) and
+    # 3x7 (2^20, at the cap).
+    for sector_restrict in (False, True):
+        for l1, l2 in ((4, 4), (5, 4), (3, 7)):
+            cfg = quench.QuenchConfig(L1=l1, L2=l2, sector_restrict=sector_restrict)
+            assert cfg.space_bits() == (l1 * l2 + 1 if sector_restrict else 2 * l1 * l2)
+        for l1, l2, bits in ((5, 5, 24), (2, 11, 21)):
+            with pytest.raises(ValueError, match=f"{l1}x{l2} star span has 2\\^{bits} "):
+                quench.QuenchConfig(L1=l1, L2=l2, sector_restrict=sector_restrict)
 
 
 def test_config_is_hashable_and_immutable():
@@ -299,6 +306,53 @@ def recording_operators(monkeypatch):
 
     monkeypatch.setattr(ed.HamiltonianOperator, "__init__", recording)
     return dims
+
+
+@pytest.mark.parametrize("field", [{}, {"field_mode": "split_HV", "kappa": 0.0}],
+                         ids=["uniform_z", "split_HV-kappa0"])
+def test_4x4_full_space_runs_on_its_star_block(monkeypatch, field):
+    # The 4x4 full space has 2^32 states, 64 GiB for one state vector; it is
+    # only reported. The quench and the sweep each build one operator, on the
+    # 2^15-state star span: no field term flips a spin under uniform_z, and
+    # split_HV's vertical sigma^x field has weight kappa * h = 0.
+    dims = recording_operators(monkeypatch)
+    cfg = quench.QuenchConfig(L1=4, L2=4, h=1.0, t_max=1.0, **field)
+    tracemalloc.start()
+    try:
+        report = quench.run_quench(cfg)
+        (row,) = quench.long_time_average(cfg, [0.1], (50.0, 55.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [1 << 15, 1 << 15]
+    geo = lattice.build_lattice(4, 4)
+    spec = ed.HamiltonianSpec(geometry=geo, h=1.0, **field)
+    stars = stabilizer.Basis(geo.n_spins, (op.x_mask for op in stabilizer.star_operators(geo)))
+    assert ed.build_block(spec) == stars
+    assert report.metadata["basis_dimension"] == 1 << 32
+    assert report.metadata["block_dimension"] == 1 << 15
+    assert len(report.times) == 11 and 0 < row.mean_s_top < 1
+    assert peak < 64 << 20
+
+
+def test_4x4_split_hv_block_with_kappa_is_refused_by_its_builder():
+    # With kappa != 0 the vertical sigma^x field joins the flips: 2^28 states.
+    cfg = quench.QuenchConfig(L1=4, L2=4, field_mode="split_HV", kappa=1.0)
+    with pytest.raises(ValueError, match="4x4 block of the all-up state has 2\\^28 "):
+        quench.run_quench(cfg)
+
+
+def test_verify_4x4_sector_and_3x3_split_hv_at_kappa_zero():
+    # Every split_HV term but the kappa * h field commutes with the
+    # plaquettes, so at kappa = 0 the sector is a valid reference.
+    for cfg in (quench.QuenchConfig(L1=4, L2=4, sector_restrict=True),
+                quench.QuenchConfig(L1=3, L2=3, field_mode="split_HV", kappa=0.0, h=0.7,
+                                    sector_restrict=True)):
+        ok, lines = quench.verify(cfg)
+        assert ok and len(lines) == 8, lines
+    report = quench.run_quench(dataclasses.replace(cfg, t_max=0.5))
+    assert report.metadata["basis_dimension"] == 1024
+    assert report.metadata["block_dimension"] == 256
 
 
 def recording_spectral_routes(monkeypatch):
